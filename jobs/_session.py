@@ -3,8 +3,8 @@
 Mirrors the conftest fixture's configuration.  ``spark.driver.memory``
 must be set before the JVM launches, so it goes into
 ``PYSPARK_SUBMIT_ARGS`` at import time (same mechanism as conftest.py);
-the default 1g driver heap OOMs on long greedy runs (AQE plan strings ×
-k rounds of truncation lineage).
+the default 1g driver heap is too small for the iterative Spark jobs'
+AQE plan strings and for the walks collected to the driver.
 """
 import os
 

@@ -10,7 +10,8 @@ implement the reverse-reachable (RR) set machinery:
   with probability equal to its edge weight (in-weights sum to 1), stop on
   a revisit.  (Our graphs carry a self-loop on in-degree-0 nodes, which
   simply ends the path.)
-* Seed selection: greedy max-coverage over θ_im RR sets.
+* Seed selection: greedy max-coverage over θ_im RR sets, on the driver
+  in the shared coverage engine (``core.coverage``).
 
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
@@ -25,10 +26,12 @@ from typing import Iterator
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql import types as T
 
+from repro.core.coverage import Coverage, list_incidence
 from repro.graphs.graph import OpinionGraph
 
 _RR_SCHEMA = T.StructType(
@@ -39,20 +42,12 @@ _RR_SCHEMA = T.StructType(
 )
 
 
-def _reverse_csr(graph: OpinionGraph):
-    """(indptr, indices, weights) of the reverse graph, dst-major."""
-    order = np.argsort(graph.dst, kind="stable")
-    dsts = graph.dst[order]
-    indptr = np.zeros(graph.n + 1, dtype=np.int64)
-    np.add.at(indptr, dsts + 1, 1)
-    return np.cumsum(indptr), graph.src[order].astype(np.int32), graph.w[order]
-
-
 def rr_sets_np(
     graph: OpinionGraph, model: str, roots: np.ndarray, rng: np.random.Generator
 ) -> list[list[int]]:
     """RR sets for the given roots (reference kernel, also used per-partition)."""
-    indptr, indices, wts = _reverse_csr(graph)
+    # Edges are stored sorted by dst: they already form the reverse CSR.
+    indptr, indices, wts = graph.dst_indptr(), graph.src, graph.w
     alias = graph.reverse_alias()
     out: list[list[int]] = []
     for root in roots:
@@ -118,6 +113,18 @@ def generate_rr_sets(
     return work.mapInPandas(gen, _RR_SCHEMA)
 
 
+def greedy_rr_sets(n: int, rr: pa.Table, k: int) -> list[int]:
+    """Greedy max-coverage over collected RR sets ``(sketch_id, nodes)``.
+
+    Each round picks the node in the most uncovered RR sets (smallest id
+    on ties); covered sets drop out entirely.
+    """
+    row, node, _ = list_incidence(rr.column("nodes"))
+    cov = Coverage(n, row, node, rr.num_rows)
+    ones = np.ones(rr.num_rows)
+    return cov.select(k, lambda: cov.sums(ones))
+
+
 def select_seeds_im(
     spark: SparkSession,
     graph: OpinionGraph,
@@ -127,37 +134,13 @@ def select_seeds_im(
     theta: int = 20000,
     seed: int = 0,
 ) -> list[int]:
-    """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed).persist()
-    rr.count()
-    seeds: list[int] = []
-    remaining = rr
-    for rnd in range(k):
-        counts = (
-            remaining.select(F.explode("nodes").alias("v"))
-            .groupBy("v")
-            .agg(F.count("*").alias("cov"))
-            .orderBy(F.col("cov").desc(), F.col("v"))
-            .limit(1)
-            .collect()
-        )
-        if not counts:
-            pool = [v for v in range(graph.n) if v not in seeds]
-            seeds.append(int(pool[0]))
-            continue
-        u = int(counts[0]["v"])
-        seeds.append(u)
-        nxt = remaining.where(
-            F.array_position(F.col("nodes"), F.lit(u)) == 0
-        ).persist()
-        nxt.count()
-        remaining.unpersist()
-        # Truncate lineage every couple of rounds — k chained filters
-        # otherwise blow up the driver's plan bookkeeping.
-        remaining = nxt.localCheckpoint(eager=True) if rnd % 2 == 1 else nxt
-    remaining.unpersist()
-    rr.unpersist()
-    return seeds
+    """Greedy max-coverage over RR sets (IMM-lite seed selection).
+
+    The RR sets are generated on Spark and collected once; the greedy
+    rounds run on the driver (``core.coverage``).
+    """
+    rr = generate_rr_sets(spark, graph, model, theta, seed=seed).toArrow()
+    return greedy_rr_sets(graph.n, rr, k)
 
 
 def expected_influence_spread(

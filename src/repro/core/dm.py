@@ -25,7 +25,7 @@ from pyspark.sql import types as T
 
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.fj import fj_diffuse_np
-from repro.voting.scores import score_np
+from repro.voting.scores import rank_contrib_np, score_np
 
 # Below this node count the batched FJ iteration uses a dense W (BLAS);
 # above it, segment-reduceat over the dst-sorted sparse COO arrays.
@@ -81,16 +81,9 @@ def batch_scores_np(
         return M.sum(axis=1)
     assert others is not None, "rank-based scores need the others matrix"
     if score in ("plurality", "p_approval", "positional_p_approval"):
-        pp = 1 if score == "plurality" else p
-        # β per (candidate-row, user): 1 + #{others ≥ M}, vectorized over
-        # the (small) number of non-target candidates.
-        beta = 1 + sum((o[None, :] >= M).astype(np.int64) for o in others)
-        if score == "positional_p_approval" and omega is not None:
-            om = np.asarray(omega)
-            contrib = np.where(beta <= pp, om[np.minimum(beta, len(om)) - 1], 0.0)
-        else:
-            contrib = (beta <= pp).astype(np.float64)
-        return contrib.sum(axis=1)
+        # β per (candidate-row, user), vectorized over the (small) number
+        # of non-target candidates; each others row broadcasts over M.
+        return rank_contrib_np(M, others, score, p=p, omega=omega).sum(axis=1)
     # Copeland: per opponent, compare win/loss counts across users.
     wins = np.zeros(nb)
     for o in others:

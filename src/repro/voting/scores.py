@@ -29,6 +29,29 @@ def rank_np(b: np.ndarray, q: int) -> np.ndarray:
     return (b >= b[q][None, :]).sum(axis=0)
 
 
+def rank_contrib_np(
+    b: np.ndarray,
+    others,
+    score: str,
+    *,
+    p: int = 1,
+    omega: np.ndarray | None = None,
+) -> np.ndarray:
+    """Per-voter rank-score contribution ``ω[β]·1[β ≤ p]`` of opinion ``b``.
+
+    ``β = 1 + #{x ≠ q : b_x ≥ b}`` (Eq. 4, ties count against ``q``);
+    ``others`` iterates the non-target candidates' opinion rows, each
+    broadcastable against ``b``.  Plurality uses ``p = 1``; ``ω ≡ 1``
+    unless ``score`` is positional-p-approval with an ``omega``.
+    """
+    pp = 1 if score == "plurality" else p
+    beta = 1 + sum((o >= b).astype(np.int64) for o in others)
+    if score == "positional_p_approval" and omega is not None:
+        om = np.asarray(omega)
+        return np.where(beta <= pp, om[np.minimum(beta, len(om)) - 1], 0.0)
+    return (beta <= pp).astype(np.float64)
+
+
 def cumulative_np(b: np.ndarray, q: int) -> float:
     return float(b[q].sum())
 

@@ -1,16 +1,19 @@
 """Integration tests for the RW (Alg. 4) and RS (Alg. 5) selectors.
 
-Graphs are kept small (n ≤ 60, t ≤ 4) — each greedy round is several
-Spark jobs.  Quality checks compare against the exact DM greedy.
+Walks and sketches are generated on Spark; the greedy rounds run on the
+driver (``core.coverage``).  Graphs are kept small (n ≤ 60, t ≤ 4) so the
+exact DM greedy, which the quality checks compare against, stays cheap.
 """
 import numpy as np
 import pytest
 
+from repro.core.coverage import WalkGreedy
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.rs import RSSelector
 from repro.core.rw import RWSelector
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import opinions_at_horizon_np
+from repro.opinion.walks import generate_walks
 from repro.voting.scores import score_np
 
 
@@ -28,17 +31,17 @@ class TestRW:
     def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
         """Estimated marginal gains ≡ recomputing the estimate per candidate."""
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=10, seed=1)
-        gains = sel.gains().toPandas().set_index("v")["gain"]
-        walks = sel.walks.toPandas()
         lam = 10
-        for v in list(gains.index)[:15]:
+        table = generate_walks(spark, g, 0, 3, lam=lam, seed=1).toArrow()
+        gains = WalkGreedy(g, 0, 3, "cumulative", table, unit="start").gains()
+        walks = table.to_pandas()
+        for v in range(15):
             exp = sum(
                 (1.0 - op) / lam
                 for path, op in zip(walks["path"], walks["op"])
                 if v in list(path)
             )
-            assert np.isclose(gains.loc[v], exp), f"node {v}"
+            assert np.isclose(gains[v], exp), f"node {v}"
 
     def test_estimated_score_tracks_truncation(self, spark, small_graph):
         g = small_graph
@@ -95,17 +98,20 @@ class TestRS:
 
     def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
         g = small_graph
-        rs = RSSelector(spark, g, 0, 3, "cumulative", theta=300, seed=9)
-        gains = rs.gains().toPandas().set_index("v")["gain"]
-        walks = rs.walks.toPandas()
+        starts = np.random.default_rng(9).choice(g.n, size=300)
+        table = generate_walks(spark, g, 0, 3, starts=starts, seed=10).toArrow()
         scale = g.n / 300
-        for v in list(gains.index)[:15]:
+        gains = WalkGreedy(
+            g, 0, 3, "cumulative", table, unit="walk_id", scale=scale
+        ).gains()
+        walks = table.to_pandas()
+        for v in range(15):
             exp = scale * sum(
                 (1.0 - op)
                 for path, op in zip(walks["path"], walks["op"])
                 if v in list(path)
             )
-            assert np.isclose(gains.loc[v], exp), f"node {v}"
+            assert np.isclose(gains[v], exp), f"node {v}"
 
     def test_selects_distinct_seeds(self, spark, small_graph):
         rs = RSSelector(spark, small_graph, 0, 3, "plurality", theta=500, seed=10)
@@ -128,11 +134,31 @@ class TestRS:
         rs = RSSelector(spark, g, 0, 1, "cumulative", theta=2000, seed=12)
         assert rs.select(1) == [0]
 
-    def test_user_mask_restricts_starts(self, spark, small_graph):
+
+class TestEntryPoints:
+    """Edge inputs at the selector entry points."""
+
+    @pytest.mark.parametrize("target", [-1, 3])
+    def test_target_out_of_range_raises(self, spark, small_graph, target):
+        with pytest.raises(ValueError):
+            RWSelector(spark, small_graph, target, 3, "cumulative", lam=2)
+        with pytest.raises(ValueError):
+            RSSelector(spark, small_graph, target, 3, "cumulative", theta=10)
+
+    def test_k_above_n_raises(self, spark):
+        g = random_instance(8, r=2, seed=1)
+        sel = RWSelector(spark, g, 0, 2, "plurality", lam=2, seed=1)
+        with pytest.raises(ValueError):
+            sel.select(9)
+
+    def test_k_equals_n_returns_every_node(self, spark):
+        g = random_instance(8, r=2, seed=2)
+        rs = RSSelector(spark, g, 0, 2, "cumulative", theta=5, seed=2)
+        assert sorted(rs.select(8)) == list(range(8))
+
+    def test_horizon_zero(self, spark, small_graph):
+        """t = 0: every walk is its start node, with estimate b0."""
         g = small_graph
-        mask = np.zeros(g.n, dtype=bool)
-        mask[:10] = True
-        rs = RSSelector(spark, g, 0, 2, "cumulative", theta=200, seed=13, user_mask=mask)
-        starts = rs.walks.select("start").toPandas()["start"]
-        assert set(starts.unique()) <= set(range(10))
-        assert np.isclose(rs.scale, 10 / 200)
+        sel = RWSelector(spark, g, 0, 0, "cumulative", lam=3, seed=3)
+        assert np.isclose(sel.estimated_score(), g.b0[0].sum())
+        assert len(set(sel.select(3))) == 3

@@ -13,6 +13,7 @@ from repro.voting.scores import (
     p_approval_np,
     plurality_np,
     positional_p_approval_np,
+    rank_contrib_np,
     rank_np,
     score_df,
     score_np,
@@ -93,6 +94,19 @@ class TestNumpyScores:
         full = p_approval_np(b, 0, 2)
         weighted = positional_p_approval_np(b, 0, 2, np.array([1.0, 0.5, 0.0]))
         assert weighted <= full
+
+    @pytest.mark.parametrize(
+        "score", ["plurality", "p_approval", "positional_p_approval"]
+    )
+    @pytest.mark.parametrize("q", [0, 2])
+    def test_rank_contrib_sums_to_score(self, score, q):
+        """Per-voter contributions (shared by DM and RW/RS) sum to F."""
+        g = random_instance(60, r=4, seed=5)
+        b = fj_diffuse_np(g, 2)
+        b[:, :5] = 0.5  # ties count against the target
+        omega = np.array([1.0, 0.5, 0.25, 0.0])
+        contrib = rank_contrib_np(b[q], np.delete(b, q, axis=0), score, p=2, omega=omega)
+        assert np.isclose(contrib.sum(), score_np(b, q, score, p=2, omega=omega))
 
     def test_positional_omega_zero_tail_equals_lower_p(self):
         g = random_instance(60, r=3, seed=4)
