@@ -13,6 +13,13 @@ implement the reverse-reachable (RR) set machinery:
 * Seed selection: greedy max-coverage over θ_im RR sets, on the driver
   in the shared coverage engine (``core.coverage``).
 
+RR sets are sampled on the driver, all roots at once: each BFS level (IC)
+or path step (LT) is one vectorised draw from a single
+``np.random.default_rng(seed)`` stream, so a given ``seed`` gives the same
+sets on any machine.  They come out as a flat (item, node) incidence.
+``spark`` parameters are kept for a uniform baseline signature and are
+not used.
+
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
 selected seeds coincide with IMM's with high probability.
@@ -22,106 +29,65 @@ n/θ · #RR sets hit by S.
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 import numpy as np
-import pandas as pd
-import pyarrow as pa
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
-from pyspark.sql import types as T
+from pyspark.sql import SparkSession
 
-from repro.core.coverage import Coverage, list_incidence
+from repro.core.coverage import Coverage
 from repro.graphs.graph import OpinionGraph
 
-_RR_SCHEMA = T.StructType(
-    [
-        T.StructField("sketch_id", T.LongType()),
-        T.StructField("nodes", T.ArrayType(T.IntegerType())),
-    ]
-)
+
+def _unseen(seen: np.ndarray, key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the sorted ``key`` values not in the sorted ``seen``, and
+    ``seen`` with them inserted."""
+    i = np.searchsorted(seen, key)
+    new = seen[np.minimum(i, len(seen) - 1)] != key
+    return new, np.insert(seen, i[new], key[new])
 
 
-def rr_sets_np(
+def rr_sets(
     graph: OpinionGraph, model: str, roots: np.ndarray, rng: np.random.Generator
-) -> list[list[int]]:
-    """RR sets for the given roots (reference kernel, also used per-partition)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(item, node)`` incidence of one RR set per root, all roots at once."""
+    if model not in ("ic", "lt"):
+        raise ValueError(f"unknown IM model: {model}")
+    n = graph.n
+    node = np.asarray(roots, dtype=np.int64)
+    item = np.arange(len(node))
+    seen = item * n + node
+    items, nodes = [item], [node]
     # Edges are stored sorted by dst: they already form the reverse CSR.
-    indptr, indices, wts = graph.dst_indptr(), graph.src, graph.w
-    alias = graph.reverse_alias()
-    out: list[list[int]] = []
-    for root in roots:
+    indptr = graph.dst_indptr()
+    while len(item):
         if model == "ic":
-            visited = {int(root)}
-            frontier = [int(root)]
-            while frontier:
-                nxt: list[int] = []
-                for v in frontier:
-                    lo, hi = indptr[v], indptr[v + 1]
-                    live = rng.random(hi - lo) < wts[lo:hi]
-                    for u in indices[lo:hi][live]:
-                        if int(u) not in visited:
-                            visited.add(int(u))
-                            nxt.append(int(u))
-                frontier = nxt
-            out.append(sorted(visited))
-        elif model == "lt":
-            visited = {int(root)}
-            cur = int(root)
-            while True:
-                nxt = int(alias.sample(np.array([cur]), rng)[0])
-                if nxt in visited:
-                    break
-                visited.add(nxt)
-                cur = nxt
-            out.append(sorted(visited))
+            deg = indptr[node + 1] - indptr[node]
+            e = np.repeat(indptr[node] - np.cumsum(deg) + deg, deg) + np.arange(deg.sum())
+            live = rng.random(len(e)) < graph.w[e]
+            key = np.unique(np.repeat(item, deg)[live] * n + graph.src[e[live]])
         else:
-            raise ValueError(f"unknown IM model: {model}")
-    return out
+            key = item * n + graph.sample_in(node, rng)
+        new, seen = _unseen(seen, key)
+        item, node = key[new] // n, key[new] % n
+        items.append(item)
+        nodes.append(node)
+    return np.concatenate(items), np.concatenate(nodes)
 
 
 def generate_rr_sets(
-    spark: SparkSession,
-    graph: OpinionGraph,
-    model: str,
-    theta: int,
-    *,
-    seed: int = 0,
-) -> DataFrame:
-    """θ RR sets as a DataFrame (sketch_id, nodes) — broadcast graph,
-    distributed roots, per-partition vectorized kernel."""
-    rng0 = np.random.default_rng(seed)
-    roots = rng0.integers(0, graph.n, size=theta)
-    bc = spark.sparkContext.broadcast(graph)
-    work = spark.createDataFrame(
-        pd.DataFrame({"sketch_id": np.arange(theta, dtype=np.int64), "root": roots})
-    ).repartition(min(spark.sparkContext.defaultParallelism * 2, max(1, theta // 512)))
-
-    def gen(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        g = bc.value
-        for pdf in pdfs:
-            if len(pdf) == 0:
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(pdf["sketch_id"].iloc[0])])
-            )
-            sets = rr_sets_np(g, model, pdf["root"].to_numpy(), rng)
-            yield pd.DataFrame(
-                {"sketch_id": pdf["sketch_id"].to_numpy(), "nodes": sets}
-            )
-
-    return work.mapInPandas(gen, _RR_SCHEMA)
+    graph: OpinionGraph, model: str, theta: int, *, seed: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """θ RR sets from uniformly random roots, as ``(item, node)``."""
+    rng = np.random.default_rng(seed)
+    return rr_sets(graph, model, rng.integers(0, graph.n, size=theta), rng)
 
 
-def greedy_rr_sets(n: int, rr: pa.Table, k: int) -> list[int]:
-    """Greedy max-coverage over collected RR sets ``(sketch_id, nodes)``.
+def greedy_rr_sets(n: int, item: np.ndarray, node: np.ndarray, theta: int, k: int) -> list[int]:
+    """Greedy max-coverage over ``theta`` RR sets given as ``(item, node)``.
 
     Each round picks the node in the most uncovered RR sets (smallest id
     on ties); covered sets drop out entirely.
     """
-    row, node, _ = list_incidence(rr.column("nodes"))
-    cov = Coverage(n, row, node, rr.num_rows)
-    ones = np.ones(rr.num_rows)
+    cov = Coverage(n, item, node, theta)
+    ones = np.ones(theta)
     return cov.select(k, lambda: cov.sums(ones))
 
 
@@ -134,13 +100,9 @@ def select_seeds_im(
     theta: int = 20000,
     seed: int = 0,
 ) -> list[int]:
-    """Greedy max-coverage over RR sets (IMM-lite seed selection).
-
-    The RR sets are generated on Spark and collected once; the greedy
-    rounds run on the driver (``core.coverage``).
-    """
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed).toArrow()
-    return greedy_rr_sets(graph.n, rr, k)
+    """Greedy max-coverage over RR sets (IMM-lite seed selection)."""
+    item, node = generate_rr_sets(graph, model, theta, seed=seed)
+    return greedy_rr_sets(graph.n, item, node, theta, k)
 
 
 def expected_influence_spread(
@@ -153,9 +115,7 @@ def expected_influence_spread(
     seed: int = 7,
 ) -> float:
     """EIS(S) ≈ n/θ · #{RR sets intersecting S} (§VIII-C)."""
-    rr = generate_rr_sets(spark, graph, model, theta, seed=seed)
-    seed_list = [int(s) for s in seeds]
-    hit = rr.where(
-        F.size(F.array_intersect(F.col("nodes"), F.array(*[F.lit(s) for s in seed_list]))) > 0
-    ).count()
-    return graph.n * hit / float(theta)
+    item, node = generate_rr_sets(graph, model, theta, seed=seed)
+    hit = np.zeros(theta, dtype=bool)
+    hit[item[np.isin(node, np.asarray(list(seeds), dtype=np.int64))]] = True
+    return graph.n * int(hit.sum()) / float(theta)

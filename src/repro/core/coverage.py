@@ -5,7 +5,9 @@ estimate 1, so every later gain term ``(1 − op)`` of that walk is 0: the
 RW and RS greedy rounds (Alg. 4/5) are weighted max coverage over walks,
 the same shape as the RR-set greedy of IMM [3] (``baselines/im.py``) and
 the sandwich upper bound's t-hop coverage (``core/sandwich.py``).  All of
-them run here, in NumPy, on sampled items collected once from Spark.
+them run here, in NumPy, on items sampled once on the driver
+(``opinion/walks.py``, ``baselines/im.py``) and handed over as a flat
+(item, node[, position]) incidence.
 
 ``Coverage`` holds the distinct (item, node) incidence, a node → items CSR
 and an ``alive`` mask; seeding ``u`` clears ``alive`` for the items in
@@ -20,27 +22,13 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
-import pyarrow as pa
 
 from repro.core.dm import others_at_horizon
 from repro.graphs.graph import OpinionGraph
+from repro.opinion.walks import Walks
 from repro.voting.scores import rank_contrib_np
 
 _UNCUT = np.iinfo(np.int64).max
-
-
-def list_incidence(lists) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(row, element, position) of every element of an Arrow list column.
-
-    Reads the list offsets directly: no per-row Python objects.
-    """
-    if isinstance(lists, pa.ChunkedArray):
-        lists = lists.combine_chunks()
-    row = lists.value_parent_indices().to_numpy()
-    element = lists.flatten().to_numpy().astype(np.int64)
-    offsets = lists.offsets.to_numpy()
-    pos = np.arange(len(element)) + offsets[0] - offsets[row]
-    return row, element, pos
 
 
 class Coverage:
@@ -146,10 +134,9 @@ class Coverage:
 class WalkGreedy:
     """Greedy seed selection on pre-generated reverse walks (Alg. 4/5).
 
-    ``walks`` is an Arrow table ``(walk_id, start, path, op)`` as written
-    by ``generate_walks``.  ``unit`` names the column that groups walks
-    into one estimate: ``"start"`` averages a user's λ walks (RW),
-    ``"walk_id"`` makes every walk its own sketch (RS).  ``scale``
+    ``walks`` comes from ``generate_walks``.  ``unit`` gives each walk the
+    id of the estimate it feeds: ``walks.start`` averages a user's λ walks
+    (RW), the walk index makes every walk its own sketch (RS).  ``scale``
     multiplies every score but Copeland (RS: n/θ).
 
     ``rounds`` gets one record per pick: ``seed``, its estimated ``gain``,
@@ -163,9 +150,9 @@ class WalkGreedy:
         target: int,
         t: int,
         score: str,
-        walks: pa.Table,
+        walks: Walks,
         *,
-        unit: str,
+        unit: np.ndarray,
         scale: float = 1.0,
         p: int = 1,
         omega=None,
@@ -175,23 +162,15 @@ class WalkGreedy:
         self.scale = scale
         self.p = p
         self.omega = omega
-        walk_id = walks.column("walk_id").to_numpy()
-        order = np.argsort(walk_id)
-        start = walks.column("start").to_numpy()[order]
-        self.op0 = walks.column("op").to_numpy()[order]
-        _, first, self.unit = np.unique(
-            walks.column(unit).to_numpy()[order], return_index=True, return_inverse=True
-        )
+        self.op0 = walks.op
+        _, first, self.unit = np.unique(unit, return_index=True, return_inverse=True)
         self.count = np.bincount(self.unit).astype(np.float64)
-        row, node, pos = list_incidence(walks.column("path"))
-        item = np.empty(len(walk_id), dtype=np.int64)
-        item[order] = np.arange(len(walk_id))
-        self.cov = Coverage(graph.n, item[row], node, len(walk_id), pos=pos)
+        self.cov = Coverage(graph.n, walks.item, walks.node, len(walks.op), pos=walks.pos)
         self.rounds: list[dict] = []
         self.others = None
         if score != "cumulative":
             # (r−1, units): exact non-target opinions at each unit's user.
-            self.others = others_at_horizon(graph, target, t)[:, start[first]]
+            self.others = others_at_horizon(graph, target, t)[:, walks.start[first]]
             # Distinct (unit, node) pairs of the incidence, built once.
             pair_key = self.unit[self.cov.item] * graph.n + self.cov.node
             keys, self.pair_of = np.unique(pair_key, return_inverse=True)

@@ -94,9 +94,13 @@ def batch_scores_np(
 
 
 def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
-    """Exact horizon opinions of all non-target candidates (no seeds)."""
-    b = fj_diffuse_np(graph, t)
-    return np.delete(b, target, axis=0)
+    """Exact horizon opinions of all non-target candidates (no seeds).
+
+    Only the r − 1 non-target rows are diffused.
+    """
+    keep = np.delete(np.arange(graph.r), target)
+    rows = OpinionGraph(graph.n, graph.src, graph.dst, graph.w, graph.b0[keep], graph.d[keep])
+    return fj_diffuse_np(rows, t)
 
 
 class ExactEvaluator:
@@ -209,7 +213,13 @@ def greedy_dm(
     """
     n = evaluator.graph.n
     pool = np.arange(n) if candidates is None else np.asarray(candidates)
-    seeds: list[int] = list(init or [])
+    seeds: list[int] = [int(s) for s in init or []]
+    if k > n:
+        raise ValueError(f"k={k} exceeds the number of nodes n={n}")
+    if any(not 0 <= s < n for s in seeds):
+        raise ValueError(f"init seeds {seeds} must lie in [0, n={n})")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"init seeds {seeds} contain duplicates")
     trace: list[float] = []
     base = evaluator.score_of(seeds)
 

@@ -10,9 +10,9 @@ Estimators (Eqs. 35, 42, 47):
 * plurality variants:  F̂(S) = (n/θ) Σ_j ω[β(op_j)]·1[β(op_j) ≤ p]
 * Copeland: pairwise duel counts over the θ samples.
 
-The sketches are generated on Spark and collected once; greedy rounds run
-on the driver in the same engine as RW (``core.coverage``), with
-per-*sketch* (not per-user) units.
+The sketches are generated once on the driver (``opinion.walks``);
+greedy rounds run in the same engine as RW (``core.coverage``), with
+per-*sketch* (not per-user) units.  No step launches a Spark job.
 """
 from __future__ import annotations
 
@@ -25,7 +25,11 @@ from repro.opinion.walks import generate_walks
 
 
 class RSSelector(WalkGreedy):
-    """Greedy seed selection on θ uniformly-sampled sketches."""
+    """Greedy seed selection on θ uniformly-sampled sketches.
+
+    ``spark`` is accepted for a uniform selector signature; sampling and
+    selection do not use it.
+    """
 
     def __init__(
         self,
@@ -42,10 +46,8 @@ class RSSelector(WalkGreedy):
     ):
         rng = np.random.default_rng(seed)
         starts = rng.choice(np.arange(graph.n), size=theta, replace=True)
-        walks = generate_walks(
-            spark, graph, target, t, starts=starts, seed=seed + 1
-        ).toArrow()
+        walks = generate_walks(graph, target, t, starts=starts, seed=seed + 1)
         super().__init__(
             graph, target, t, score, walks,
-            unit="walk_id", scale=graph.n / float(theta), p=p, omega=omega,
+            unit=np.arange(theta), scale=graph.n / float(theta), p=p, omega=omega,
         )

@@ -1,9 +1,10 @@
 """Random-walk-based greedy seed selection ("RW", paper Alg. 4, §V).
 
-λ reverse walks are generated once per node (empty seed set) on Spark and
-collected to the driver; every greedy round then computes *estimated*
-marginal gains on the driver (``core.coverage``) and truncates the walks
-at the chosen seed (Post-Generation Truncation, a mask — no regeneration).
+λ reverse walks are generated once per node (empty seed set) on the
+driver (``opinion.walks``); every greedy round then computes *estimated*
+marginal gains (``core.coverage``) and truncates the walks at the chosen
+seed (Post-Generation Truncation, a mask — no regeneration).  No step
+launches a Spark job.
 
 Gains, with ``b̂_u`` the mean of user ``u``'s walk estimates:
 
@@ -29,7 +30,11 @@ from repro.opinion.walks import generate_walks
 
 
 class RWSelector(WalkGreedy):
-    """Greedy seed selection on λ pre-generated reverse walks per user."""
+    """Greedy seed selection on λ pre-generated reverse walks per user.
+
+    ``spark`` is accepted for a uniform selector signature; sampling and
+    selection do not use it.
+    """
 
     def __init__(
         self,
@@ -44,5 +49,5 @@ class RWSelector(WalkGreedy):
         omega=None,
         seed: int = 0,
     ):
-        walks = generate_walks(spark, graph, target, t, lam=lam, seed=seed).toArrow()
-        super().__init__(graph, target, t, score, walks, unit="start", p=p, omega=omega)
+        walks = generate_walks(graph, target, t, lam=lam, seed=seed)
+        super().__init__(graph, target, t, score, walks, unit=walks.start, p=p, omega=omega)

@@ -27,51 +27,6 @@ from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
-class AliasTable:
-    """Walker alias tables for O(1) weighted sampling of one in-neighbor.
-
-    Built over the *reverse* graph: for node ``v``, sampling returns one of
-    ``v``'s in-neighbors ``u`` with probability ``w[u, v]``.  Arrays are
-    aligned with the reverse-CSR ``indices`` layout.
-    """
-
-    indptr: np.ndarray  # (n+1,) int64 — reverse-CSR row pointers
-    indices: np.ndarray  # (nnz,) int32 — in-neighbor ids
-    prob: np.ndarray  # (nnz,) float64 — alias acceptance probabilities
-    alias: np.ndarray  # (nnz,) int32 — alias slot (local index within row)
-
-    def sample(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        """Vectorized draw of one in-neighbor for each node in ``nodes``."""
-        deg = self.indptr[nodes + 1] - self.indptr[nodes]
-        # Every node has >=1 in-edge after self-loop normalization.
-        slot = (rng.random(len(nodes)) * deg).astype(np.int64)
-        base = self.indptr[nodes] + slot
-        accept = rng.random(len(nodes)) < self.prob[base]
-        local = np.where(accept, slot, self.alias[base])
-        return self.indices[self.indptr[nodes] + local]
-
-
-def _build_alias_row(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Walker's alias method for one probability row (sums to 1)."""
-    k = len(p)
-    prob = np.zeros(k)
-    alias = np.zeros(k, dtype=np.int32)
-    scaled = p * k
-    small = [i for i in range(k) if scaled[i] < 1.0]
-    large = [i for i in range(k) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s, l = small.pop(), large.pop()
-        prob[s] = scaled[s]
-        alias[s] = l
-        scaled[l] = scaled[l] - (1.0 - scaled[s])
-        (small if scaled[l] < 1.0 else large).append(l)
-    for i in large + small:
-        prob[i] = 1.0
-    return prob, alias
-
-
-@dataclass
 class OpinionGraph:
     """One FJ-Vote problem instance (graph + opinions + stubbornness)."""
 
@@ -82,7 +37,7 @@ class OpinionGraph:
     b0: np.ndarray  # (r, n) float64 in [0,1] — initial opinions per candidate
     d: np.ndarray  # (r, n) float64 in [0,1] — stubbornness per candidate
     candidates: list[str] = field(default_factory=list)
-    _rev_csr: AliasTable | None = field(default=None, repr=False)
+    _in_cdf: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     # ------------------------------------------------------------------ #
     # Construction & validation
@@ -175,14 +130,12 @@ class OpinionGraph:
         )
 
     def dst_indptr(self) -> np.ndarray:
-        """Segment boundaries of the dst-sorted edge arrays (for reduceat).
+        """Segment boundaries of the dst-sorted edge arrays (the reverse CSR).
 
         Every node has ≥1 in-edge after self-loop normalization, so the
         segments enumerate all n nodes in order.
         """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(indptr, self.dst + 1, 1)
-        return np.cumsum(indptr)
+        return np.r_[0, np.cumsum(np.bincount(self.dst, minlength=self.n))]
 
     def dense_w(self) -> np.ndarray:
         """Dense (n×n) influence matrix — BLAS path for small graphs."""
@@ -193,25 +146,23 @@ class OpinionGraph:
     # ------------------------------------------------------------------ #
     # Reverse-graph structures (for random walks)
     # ------------------------------------------------------------------ #
-    def reverse_alias(self) -> AliasTable:
-        """Alias tables over the reverse graph (cached)."""
-        if self._rev_csr is None:
-            order = np.argsort(self.dst, kind="stable")
-            dsts = self.dst[order]
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.add.at(indptr, dsts + 1, 1)
-            indptr = np.cumsum(indptr)
-            indices = self.src[order].astype(np.int32)
-            ws = self.w[order]
-            prob = np.empty(self.m)
-            alias = np.empty(self.m, dtype=np.int32)
-            for v in range(self.n):
-                lo, hi = indptr[v], indptr[v + 1]
-                p, a = _build_alias_row(ws[lo:hi])
-                prob[lo:hi] = p
-                alias[lo:hi] = a
-            self._rev_csr = AliasTable(indptr, indices, prob, alias)
-        return self._rev_csr
+    def sample_in(self, nodes: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        """Draw one in-neighbor ``u`` of each node ``v`` with probability ``w[u, v]``.
+
+        Inverse-CDF over the dst-sorted edges: the key of edge ``e`` is
+        ``dst[e]`` plus the cumulative weight of ``dst[e]``'s in-edges up
+        to ``e``, so ``v + U[0, 1)`` falls inside ``v``'s segment.  The
+        index is clipped to the segment, so a row whose weights round
+        to a total just off 1 still draws only its own in-neighbors.
+        """
+        if self._in_cdf is None:
+            indptr = self.dst_indptr()
+            cum = np.cumsum(self.w)
+            within = cum - np.r_[0.0, cum][indptr[:-1]][self.dst]
+            self._in_cdf = indptr, self.dst + within
+        indptr, key = self._in_cdf
+        e = np.searchsorted(key, nodes + rng.random(len(nodes)), side="right")
+        return self.src[np.clip(e, indptr[nodes], indptr[nodes + 1] - 1)]
 
     def out_adjacency(self) -> tuple[np.ndarray, np.ndarray]:
         """Forward-CSR (indptr, indices) over the *original* edge direction,
@@ -291,14 +242,11 @@ class OpinionGraph:
 def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:
     """``y[j] = Σ_i x[i]·w[i,j]`` — one FJ aggregation, edges sorted by dst.
 
-    Pure NumPy (no scipy in this container): contributions are segment-
-    reduced with ``np.add.reduceat`` over the dst-sorted COO arrays.
+    Pure NumPy (no scipy): one ``np.bincount`` per row of ``x``, which adds
+    the edge contributions in edge order — the same sums as ``np.add.at``.
     """
-    contrib = x[..., graph.src] * graph.w
-    if contrib.ndim == 1:
-        y = np.zeros(graph.n)
-        np.add.at(y, graph.dst, contrib)
-        return y
-    y = np.zeros(contrib.shape[:-1] + (graph.n,))
-    np.add.at(y.swapaxes(-1, 0), graph.dst, contrib.swapaxes(-1, 0))
-    return y
+    rows = x.reshape(-1, graph.n)
+    y = np.empty(rows.shape)
+    for i, row in enumerate(rows):
+        y[i] = np.bincount(graph.dst, weights=row[graph.src] * graph.w, minlength=graph.n)
+    return y.reshape(x.shape)

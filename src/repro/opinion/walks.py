@@ -9,92 +9,75 @@ the *initial* opinion of the end node (Thm 8: unbiased for ``b^(t)``).
 Post-Generation Truncation (§V-B): walks are generated **once** with the
 empty seed set; for a seed set ``S`` a walk is truncated at the first
 occurrence of a node in ``S`` and its estimate becomes 1 (Thm 9: still
-unbiased).  The greedy algorithms collect the walks once and truncate them
-as a mask on the driver (``core.coverage``) — no regeneration.
+unbiased).  The greedy algorithms truncate them as a mask on the driver
+(``core.coverage``) — no regeneration.
 
-Spark layering: the graph (alias tables + stubbornness + initial opinions)
-is broadcast; the work list (one row per walk) is a DataFrame; the
-vectorized NumPy kernel runs per partition via ``mapInPandas``.
+Sampling runs on the driver: one vectorised kernel advances every walk
+by one step at a time with a single ``np.random.default_rng(seed)``
+stream, so a given ``seed`` gives the same walks on any machine.  The
+walks come out as a flat incidence (no per-walk lists, no padding).
 """
 from __future__ import annotations
 
-from typing import Iterator
+from dataclasses import dataclass
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import types as T
 
-from repro.graphs.graph import AliasTable, OpinionGraph
+from repro.graphs.graph import OpinionGraph
 
-WALK_SCHEMA = T.StructType(
-    [
-        T.StructField("walk_id", T.LongType()),
-        T.StructField("start", T.LongType()),
-        T.StructField("path", T.ArrayType(T.IntegerType())),
-        T.StructField("op", T.DoubleType()),
-    ]
-)
+
+@dataclass
+class Walks:
+    """Reverse walks as a flat incidence, ordered by step.
+
+    Entry ``i`` says walk ``item[i]`` is at ``node[i]`` after ``pos[i]``
+    steps; ``start`` and ``op`` (initial opinion of the end node) hold one
+    value per walk.
+    """
+
+    item: np.ndarray
+    pos: np.ndarray
+    node: np.ndarray
+    start: np.ndarray
+    op: np.ndarray
+
+    def paths(self) -> list[list[int]]:
+        """Node sequence of every walk (tests and reference checks)."""
+        node = self.node[np.argsort(self.item, kind="stable")]
+        ends = np.cumsum(np.bincount(self.item, minlength=len(self.start)))
+        return [p.tolist() for p in np.split(node, ends[:-1])]
 
 
 def walk_kernel(
+    graph: OpinionGraph,
     starts: np.ndarray,
     t: int,
-    alias: AliasTable,
     d: np.ndarray,
     rng: np.random.Generator,
-) -> list[list[int]]:
-    """Vectorized generation of one t-step reverse walk per start node.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One t-step reverse walk per start node: ``(item, pos, node, end)``.
 
-    Returns the node sequences (start included at position 0).  A walk
-    that terminates early (stubbornness draw) simply stops extending.
+    Every step draws a stop for each live walk, then one in-neighbor for
+    each walk that moves.  A walk that stops simply stops extending.
     """
-    nw = len(starts)
-    paths: list[list[int]] = [[int(s)] for s in starts]
-    cur = starts.astype(np.int64).copy()
-    alive = np.ones(nw, dtype=bool)
+    cur = np.asarray(starts, dtype=np.int64)
+    live = np.arange(len(cur))
+    end = cur.copy()
+    items, nodes = [live], [cur]
     for _ in range(t):
-        idx = np.flatnonzero(alive)
-        if len(idx) == 0:
+        move = rng.random(len(live)) >= d[cur]
+        live, cur = live[move], cur[move]
+        if len(live) == 0:
             break
-        stop = rng.random(len(idx)) < d[cur[idx]]
-        alive[idx[stop]] = False
-        move = idx[~stop]
-        if len(move) == 0:
-            continue
-        nxt = alias.sample(cur[move], rng)
-        cur[move] = nxt
-        for i, v in zip(move, nxt):
-            paths[i].append(int(v))
-    return paths
-
-
-def generate_walks_np(
-    graph: OpinionGraph,
-    cand: int,
-    starts: np.ndarray,
-    t: int,
-    *,
-    seed: int,
-) -> pd.DataFrame:
-    """Reference generator (driver-side) — one walk per entry of ``starts``."""
-    rng = np.random.default_rng(seed)
-    paths = walk_kernel(
-        np.asarray(starts, dtype=np.int64), t, graph.reverse_alias(), graph.d[cand], rng
-    )
-    ends = np.array([p[-1] for p in paths], dtype=np.int64)
-    return pd.DataFrame(
-        {
-            "walk_id": np.arange(len(paths), dtype=np.int64),
-            "start": np.asarray(starts, dtype=np.int64),
-            "path": paths,
-            "op": graph.b0[cand, ends],
-        }
-    )
+        cur = graph.sample_in(cur, rng)
+        end[live] = cur
+        items.append(live)
+        nodes.append(cur)
+    pos = np.repeat(np.arange(len(items)), [len(x) for x in items])
+    return np.concatenate(items), pos, np.concatenate(nodes), end
 
 
 def generate_walks(
-    spark: SparkSession,
     graph: OpinionGraph,
     cand: int,
     t: int,
@@ -102,58 +85,22 @@ def generate_walks(
     lam: int | None = None,
     starts: np.ndarray | None = None,
     seed: int = 0,
-    partitions: int | None = None,
-) -> DataFrame:
-    """Walks DataFrame ``(walk_id, start, path, op)``.
-
-    Either ``lam`` walks from *every* node (RW, Alg. 4) or exactly one walk
-    per entry of ``starts`` (RS sketches, Alg. 5).  The alias tables /
-    stubbornness / initial opinions are broadcast once; each partition runs
-    the vectorized kernel with an independent RNG stream derived from
-    ``seed`` and the partition's first walk id (deterministic).
-    """
+) -> Walks:
+    """Either ``lam`` walks from *every* node (RW, Alg. 4) or exactly one
+    walk per entry of ``starts`` (RS sketches, Alg. 5)."""
     if (lam is None) == (starts is None):
         raise ValueError("pass exactly one of lam= or starts=")
     if not 0 <= cand < graph.r:
         raise ValueError(f"candidate {cand} outside [0, r={graph.r})")
     if starts is None:
         starts = np.repeat(np.arange(graph.n, dtype=np.int64), lam)
-    else:
-        starts = np.asarray(starts, dtype=np.int64)
-    sc = spark.sparkContext
-    bc = sc.broadcast(
-        (graph.reverse_alias(), graph.d[cand].copy(), graph.b0[cand].copy())
-    )
-    nparts = partitions or min(sc.defaultParallelism * 2, max(1, len(starts) // 256))
-    work = spark.createDataFrame(
-        pd.DataFrame({"walk_id": np.arange(len(starts), dtype=np.int64), "start": starts})
-    ).repartition(nparts)
-
-    def gen(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        alias, d, b0 = bc.value
-        for pdf in batches:
-            if len(pdf) == 0:
-                continue
-            rng = np.random.default_rng(
-                np.random.SeedSequence([seed, int(pdf["walk_id"].iloc[0])])
-            )
-            paths = walk_kernel(pdf["start"].to_numpy(), t, alias, d, rng)
-            ends = np.array([p[-1] for p in paths], dtype=np.int64)
-            yield pd.DataFrame(
-                {
-                    "walk_id": pdf["walk_id"].to_numpy(),
-                    "start": pdf["start"].to_numpy(),
-                    "path": paths,
-                    "op": b0[ends],
-                }
-            )
-
-    return work.mapInPandas(gen, WALK_SCHEMA)
+    starts = np.asarray(starts, dtype=np.int64)
+    rng = np.random.default_rng(seed)
+    item, pos, node, end = walk_kernel(graph, starts, t, graph.d[cand], rng)
+    return Walks(item, pos, node, starts, graph.b0[cand, end])
 
 
-def truncated_estimate_np(
-    path: list[int], op: float, seeds: set[int], b0_end_is_op: bool = True
-) -> float:
+def truncated_estimate_np(path: list[int], op: float, seeds: set[int]) -> float:
     """Reference truncation for one walk (tests): first seed hit → 1."""
     for v in path:
         if v in seeds:

@@ -13,7 +13,7 @@ from repro.baselines.ged_t import ged_t_seeds
 from repro.baselines.im import (
     expected_influence_spread,
     generate_rr_sets,
-    rr_sets_np,
+    rr_sets,
     select_seeds_im,
 )
 from repro.core.dm import ExactEvaluator, greedy_dm
@@ -21,45 +21,69 @@ from repro.graphs.generators import random_instance, running_example
 from repro.oracle import assert_equivalent
 
 
+def _sets(item, node, count):
+    """RR sets as sorted node lists, one per item."""
+    return [sorted(node[item == i].tolist()) for i in range(count)]
+
+
 class TestRRSets:
     def test_ic_root_always_included(self):
         g = random_instance(30, seed=0)
         rng = np.random.default_rng(0)
-        sets = rr_sets_np(g, "ic", np.arange(30), rng)
+        sets = _sets(*rr_sets(g, "ic", np.arange(30), rng), 30)
         for root, s in zip(range(30), sets):
             assert root in s
 
     def test_lt_is_a_path_of_distinct_nodes(self):
         g = random_instance(30, seed=1)
         rng = np.random.default_rng(1)
-        sets = rr_sets_np(g, "lt", np.arange(30), rng)
-        for s in sets:
-            assert len(s) == len(set(s))
+        item, node = rr_sets(g, "lt", np.arange(30), rng)
+        assert len(set(zip(item.tolist(), node.tolist()))) == len(item)
+        edges = set(zip(g.src.tolist(), g.dst.tolist()))
+        order = np.argsort(item, kind="stable")  # path order within a set
+        for i in range(30):
+            path = node[order][item[order] == i].tolist()
+            assert path[0] == i
+            assert all((b, a) in edges for a, b in zip(path, path[1:]))
 
     def test_ic_respects_reverse_reachability(self):
         g = running_example()
         rng = np.random.default_rng(2)
-        sets = rr_sets_np(g, "ic", np.full(50, 0), rng)
+        sets = _sets(*rr_sets(g, "ic", np.full(50, 0), rng), 50)
         for s in sets:  # node 0 has no real in-edges: RR set = {0}
             assert s == [0]
+
+    def test_ic_sets_are_reverse_reachable(self):
+        g = random_instance(40, seed=3, avg_deg=3.0)
+        reach = [set() for _ in range(g.n)]  # reach[v] = nodes that reach v
+        for v in range(g.n):
+            frontier, seen = [v], {v}
+            while frontier:
+                u = frontier.pop()
+                for x in g.src[g.dst == u].tolist():
+                    if x not in seen:
+                        seen.add(x)
+                        frontier.append(x)
+            reach[v] = seen
+        sets = _sets(*rr_sets(g, "ic", np.arange(40), np.random.default_rng(4)), 40)
+        assert all(set(s) <= reach[root] for root, s in enumerate(sets))
 
     def test_unknown_model_raises(self):
         g = random_instance(10, seed=2)
         with pytest.raises(ValueError):
-            rr_sets_np(g, "xx", np.array([0]), np.random.default_rng(0))
+            rr_sets(g, "xx", np.array([0]), np.random.default_rng(0))
 
-    def test_spark_generation_counts(self, spark):
+    def test_generation_counts(self):
         g = random_instance(40, seed=3)
-        rr = generate_rr_sets(spark, g, "ic", 200, seed=0)
-        assert rr.count() == 200
+        item, node = generate_rr_sets(g, "ic", 200, seed=0)
+        assert np.array_equal(np.unique(item), np.arange(200))
 
-    def test_spark_generation_deterministic(self, spark):
+    def test_generation_deterministic(self):
         g = random_instance(30, seed=4)
-        a = generate_rr_sets(spark, g, "lt", 100, seed=5).toPandas()
-        b = generate_rr_sets(spark, g, "lt", 100, seed=5).toPandas()
-        a = a.sort_values("sketch_id").reset_index(drop=True)
-        b = b.sort_values("sketch_id").reset_index(drop=True)
-        assert (a["nodes"].map(tuple) == b["nodes"].map(tuple)).all()
+        for model in ("ic", "lt"):
+            a = generate_rr_sets(g, model, 100, seed=5)
+            b = generate_rr_sets(g, model, 100, seed=5)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 class TestIMSeedSelection:
@@ -72,12 +96,9 @@ class TestIMSeedSelection:
     def test_first_seed_max_coverage(self, spark):
         g = random_instance(40, seed=6)
         theta = 400
-        rr = generate_rr_sets(spark, g, "ic", theta, seed=2).toPandas()
-        counts = {}
-        for nodes in rr["nodes"]:
-            for v in set(nodes):
-                counts[v] = counts.get(v, 0) + 1
-        best_cov = max(counts.values())
+        item, node = generate_rr_sets(g, "ic", theta, seed=2)
+        counts = np.bincount(node, minlength=g.n)
+        best_cov = counts.max()
         seeds = select_seeds_im(spark, g, "ic", 1, theta=theta, seed=2)
         assert counts[seeds[0]] == best_cov
 

@@ -53,7 +53,7 @@ class TestLambdaFormulas:
 
     def test_hoeffding_guarantee_holds_empirically(self):
         """λ from Thm 10 delivers the promised (δ, ρ) accuracy."""
-        from repro.opinion.walks import generate_walks_np
+        from repro.opinion.walks import generate_walks
 
         g = random_instance(20, seed=0, avg_deg=3.0)
         delta, rho, t = 0.15, 0.8, 3
@@ -63,15 +63,15 @@ class TestLambdaFormulas:
         trials = 40
         rng_seeds = range(trials)
         for s in rng_seeds:
-            wdf = generate_walks_np(g, 0, np.repeat(np.arange(g.n), lam), t, seed=s)
-            est = wdf.groupby("start")["op"].mean().to_numpy()
+            w = generate_walks(g, 0, t, lam=lam, seed=s)
+            est = np.bincount(w.start, weights=w.op) / lam
             hits += int((np.abs(est - exact) < delta).all())
         # Per-node guarantee is ρ; all-nodes success is weaker, but with
         # λ≈36 the empirical per-node rate must be well above ρ − slack.
         per_node = 0
         for s in rng_seeds:
-            wdf = generate_walks_np(g, 0, np.repeat(np.arange(g.n), lam), t, seed=100 + s)
-            est = wdf.groupby("start")["op"].mean().to_numpy()
+            w = generate_walks(g, 0, t, lam=lam, seed=100 + s)
+            est = np.bincount(w.start, weights=w.op) / lam
             per_node += (np.abs(est - exact) < delta).mean()
         assert per_node / trials >= rho - 0.05
 

@@ -1,16 +1,21 @@
 """Tests for the driver-side coverage-greedy engine (``core.coverage``).
 
-No Spark: inputs are plain arrays from the NumPy reference generators.
-The golden seed lists were recorded from the Spark SQL selectors this
-engine replaced (RW/RS gain pipelines with ``truncate_at``, the RR-set
-filter loop, the lazy-heap UB greedy), run on these same fixed inputs.
+No Spark.  The golden seed lists were recorded from the Spark SQL
+selectors this engine replaced (RW/RS gain pipelines with
+``truncate_at``, the RR-set filter loop, the lazy-heap UB greedy), run on
+fixed inputs.  Those inputs — the RW walks (seed 100), the RS sketches
+(starts from rng 5, walks seed 101) and the IC/LT RR sets (roots rng 7,
+sets rng 8) of every case — were drawn by the alias-table samplers that
+preceded ``OpinionGraph.sample_in`` and are frozen in ``golden_samples.npz``,
+so the goldens keep checking the engine on the very same inputs.
 """
+from pathlib import Path
+
 import numpy as np
-import pyarrow as pa
 import pytest
 
-from repro.baselines.im import greedy_rr_sets, rr_sets_np
-from repro.core.coverage import Coverage, WalkGreedy, list_incidence
+from repro.baselines.im import greedy_rr_sets
+from repro.core.coverage import Coverage, WalkGreedy
 from repro.core.sandwich import (
     favorable_users_np,
     greedy_coverage,
@@ -18,7 +23,7 @@ from repro.core.sandwich import (
     weakly_favorable_users_np,
 )
 from repro.graphs.generators import random_instance
-from repro.opinion.walks import generate_walks_np, truncated_estimate_np
+from repro.opinion.walks import Walks, generate_walks, truncated_estimate_np
 from repro.voting.scores import SCORES
 
 OMEGA = np.array([1.0, 0.5, 0.25])
@@ -77,38 +82,35 @@ GOLDEN = {
 }
 
 
+SAMPLES = np.load(Path(__file__).with_name("golden_samples.npz"))
+
+
 def _graph(case):
     n, r, gs, *_ = CASES[case]
     return random_instance(n, r=r, seed=gs, avg_deg=3.0)
 
 
-def _table(pdf):
-    return pa.Table.from_pandas(pdf[["walk_id", "start", "path", "op"]], preserve_index=False)
+def _frozen(case, kind, fields):
+    return [SAMPLES[f"{case}.{kind}.{f}"].astype(np.float64 if f == "op" else np.int64)
+            for f in fields]
 
 
-def _rw(case, score, **kw):
-    n, _, _, t, lam, _, _ = CASES[case]
-    g = _graph(case)
-    walks = generate_walks_np(g, 0, np.repeat(np.arange(n), lam), t, seed=100)
-    return WalkGreedy(g, 0, t, score, _table(walks), unit="start", p=2, omega=OMEGA, **kw)
+def _walks(case, kind):
+    return Walks(*_frozen(case, kind, ("item", "pos", "node", "start", "op")))
 
 
-def _rs(case, score, **kw):
+def _rw(case, score):
+    t = CASES[case][3]
+    walks = _walks(case, "rw")
+    return WalkGreedy(_graph(case), 0, t, score, walks, unit=walks.start, p=2, omega=OMEGA)
+
+
+def _rs(case, score):
     n, _, _, t, _, theta, _ = CASES[case]
-    g = _graph(case)
-    starts = np.random.default_rng(5).choice(np.arange(n), size=theta, replace=True)
-    walks = generate_walks_np(g, 0, starts, t, seed=101)
     return WalkGreedy(
-        g, 0, t, score, _table(walks), unit="walk_id", scale=n / theta,
-        p=2, omega=OMEGA, **kw,
+        _graph(case), 0, t, score, _walks(case, "rs"), unit=np.arange(theta),
+        scale=n / theta, p=2, omega=OMEGA,
     )
-
-
-def _rr_sets(case, model):
-    n, _, _, _, _, theta, _ = CASES[case]
-    roots = np.random.default_rng(7).integers(0, n, size=theta)
-    sets = rr_sets_np(_graph(case), model, roots, np.random.default_rng(8))
-    return pa.table({"sketch_id": np.arange(len(sets)), "nodes": sets})
 
 
 class TestGoldenSeeds:
@@ -124,8 +126,9 @@ class TestGoldenSeeds:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("model", ["ic", "lt"])
     def test_rr_set_greedy(self, case, model):
-        n, k = CASES[case][0], CASES[case][-1]
-        assert greedy_rr_sets(n, _rr_sets(case, model), k) == GOLDEN[f"IM/{case}/{model}"]
+        n, theta, k = CASES[case][0], CASES[case][5], CASES[case][-1]
+        item, node = _frozen(case, model, ("item", "node"))
+        assert greedy_rr_sets(n, item, node, theta, k) == GOLDEN[f"IM/{case}/{model}"]
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("base", ["fav", "weak"])
@@ -141,34 +144,21 @@ class TestGoldenSeeds:
 
 
 class TestCoverage:
-    def test_list_incidence_reads_offsets(self):
-        lists = pa.chunked_array([[[4, 5], [6]], [[], [7, 8, 9]]])
-        row, node, pos = list_incidence(lists)
-        assert row.tolist() == [0, 0, 1, 3, 3, 3]
-        assert node.tolist() == [4, 5, 6, 7, 8, 9]
-        assert pos.tolist() == [0, 1, 0, 0, 1, 2]
-
-    def test_list_incidence_on_sliced_array(self):
-        lists = pa.array([[1], [2, 3], [4, 5, 6]]).slice(1)
-        row, node, pos = list_incidence(lists)
-        assert row.tolist() == [0, 0, 1, 1, 1]
-        assert node.tolist() == [2, 3, 4, 5, 6]
-        assert pos.tolist() == [0, 1, 0, 1, 2]
-
     def test_truncation_mask_matches_reference(self):
         """Seeding ≡ Post-Generation Truncation: estimate 1 on a hit, and the
         walk keeps exactly its prefix up to the first seed."""
         g = random_instance(30, seed=12)
-        walks = generate_walks_np(g, 0, np.repeat(np.arange(30), 4), 4, seed=6)
-        sel = WalkGreedy(g, 0, 4, "cumulative", _table(walks), unit="start")
+        walks = generate_walks(g, 0, 4, lam=4, seed=6)
+        sel = WalkGreedy(g, 0, 4, "cumulative", walks, unit=walks.start)
         for s in (3, 7):
             sel.cov.add(s)
         seeds = {3, 7}
-        exp_op = [truncated_estimate_np(p, o, seeds) for p, o in zip(walks["path"], walks["op"])]
+        paths = walks.paths()
+        exp_op = [truncated_estimate_np(p, o, seeds) for p, o in zip(paths, walks.op)]
         assert np.allclose(sel._op(), exp_op)
         cov = sel.cov
         present = cov.pos <= cov.cut[cov.item]
-        for i, path in enumerate(walks["path"]):
+        for i, path in enumerate(paths):
             hits = [j for j, v in enumerate(path) if v in seeds]
             prefix = path[: hits[0] + 1] if hits else path
             assert set(cov.node[present & (cov.item == i)]) == set(prefix)
@@ -224,8 +214,8 @@ class TestWalkGreedy:
     @pytest.mark.parametrize("score", SCORES)
     def test_horizon_zero_estimates_initial_opinions(self, score):
         g = random_instance(15, r=3, seed=3)
-        walks = generate_walks_np(g, 0, np.repeat(np.arange(15), 3), 0, seed=1)
-        assert (walks["path"].map(len) == 1).all()
-        sel = WalkGreedy(g, 0, 0, score, _table(walks), unit="start")
+        walks = generate_walks(g, 0, 0, lam=3, seed=1)
+        assert all(len(p) == 1 for p in walks.paths())
+        sel = WalkGreedy(g, 0, 0, score, walks, unit=walks.start)
         assert np.allclose(sel._bhat(sel._op()), g.b0[0])
         assert len(set(sel.select(4))) == 4

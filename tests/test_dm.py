@@ -60,7 +60,7 @@ class TestOthersAtHorizon:
         o = others_at_horizon(g, 1, 3)
         full = fj_diffuse_np(g, 3)
         assert o.shape == (3, 25)
-        assert np.allclose(o, full[[0, 2, 3]])
+        assert np.array_equal(o, full[[0, 2, 3]])
 
 
 class TestEvaluator:
@@ -187,3 +187,29 @@ class TestKernelPaths:
         for v, c in zip(vals, cands):
             b = opinions_at_horizon_np(g, 2, 0, [int(c)])
             assert np.isclose(v, snp(b, 0, "positional_p_approval", p=3, omega=om))
+
+
+class TestGreedyDMInputs:
+    """Edge inputs fail with a clear ValueError."""
+
+    @pytest.fixture(scope="class")
+    def ev(self):
+        return ExactEvaluator(None, random_instance(8, r=2, seed=3), 0, 2, "cumulative")
+
+    @pytest.mark.parametrize("celf", [True, False])
+    def test_k_above_n_raises(self, ev, celf):
+        with pytest.raises(ValueError, match="exceeds"):
+            greedy_dm(ev, 9, celf=celf)
+
+    def test_k_equals_n_returns_every_node(self, ev):
+        assert sorted(greedy_dm(ev, 8, celf=False)[0]) == list(range(8))
+
+    @pytest.mark.parametrize("init", [[1, 1], [0, 3, 0]])
+    def test_duplicate_init_seeds_raise(self, ev, init):
+        with pytest.raises(ValueError, match="duplicates"):
+            greedy_dm(ev, 4, celf=False, init=init)
+
+    @pytest.mark.parametrize("init", [[8], [-1], [2, 10]])
+    def test_out_of_range_init_seeds_raise(self, ev, init):
+        with pytest.raises(ValueError, match="lie in"):
+            greedy_dm(ev, 4, celf=False, init=init)

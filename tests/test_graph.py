@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
-from repro.graphs.graph import OpinionGraph, _build_alias_row, spmv_dst
+from repro.graphs.graph import OpinionGraph, spmv_dst
 
 
 def _tiny(b0=None, d=None):
@@ -120,35 +120,72 @@ class TestSpmv:
         for i in range(4):
             assert np.allclose(batched[i], spmv_dst(g, X[i]))
 
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 3)])
+    def test_bit_identical_to_add_at(self, seed, shape):
+        g = random_instance(80, seed=seed, avg_deg=4.0)
+        x = np.random.default_rng(seed).random(shape + (g.n,))
+        contrib = x[..., g.src] * g.w
+        y = np.zeros(shape + (g.n,))
+        np.add.at(y.swapaxes(-1, 0), g.dst, contrib.swapaxes(-1, 0))
+        assert np.array_equal(spmv_dst(g, x), y)
+
     def test_stochasticity_preserves_ones(self):
         g = random_instance(25, seed=4)
         assert np.allclose(spmv_dst(g, np.ones(g.n)), 1.0)
 
 
-class TestAlias:
-    @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5], [0.9, 0.1], [0.2, 0.3, 0.5]])
-    def test_alias_row_distribution(self, probs):
-        p = np.array(probs)
-        prob, alias = _build_alias_row(p)
-        rng = np.random.default_rng(1)
-        n = 200_000
-        slot = (rng.random(n) * len(p)).astype(int)
-        accept = rng.random(n) < prob[slot]
-        draws = np.where(accept, slot, alias[slot])
-        freq = np.bincount(draws, minlength=len(p)) / n
-        assert np.allclose(freq, p, atol=0.01)
+def _star(weights):
+    """Node 0 with in-edges of the given weights from nodes 1..len(weights),
+    stored as given (no renormalisation)."""
+    k = len(weights)
+    src = np.r_[np.arange(1, k + 1), np.arange(1, k + 1)].astype(np.int32)
+    dst = np.r_[np.zeros(k), np.arange(1, k + 1)].astype(np.int32)
+    w = np.r_[weights, np.ones(k)]
+    z = np.zeros((1, k + 1))
+    return OpinionGraph(k + 1, src, dst, w, z, z)
 
-    def test_reverse_alias_sampling_matches_weights(self):
+
+class TestInverseCDF:
+    @pytest.mark.parametrize("probs", [[1.0], [0.5, 0.5], [0.9, 0.1], [0.2, 0.3, 0.5]])
+    def test_row_distribution(self, probs):
+        """Degree-1, equal and skewed rows draw with frequencies ≈ weights."""
+        g = _star(probs)
+        draws = g.sample_in(np.zeros(200_000, dtype=np.int64), np.random.default_rng(1))
+        freq = np.bincount(draws, minlength=g.n)[1:] / 200_000
+        assert np.allclose(freq, probs, atol=0.01)
+
+    def test_sampling_matches_weights(self):
         g = running_example()
-        at = g.reverse_alias()
-        rng = np.random.default_rng(2)
-        draws = at.sample(np.full(100_000, 2), rng)  # node 2 has in {0,1}
+        draws = g.sample_in(np.full(100_000, 2), np.random.default_rng(2))
         freq = np.bincount(draws, minlength=4) / 100_000
         assert np.allclose(freq[[0, 1]], [0.5, 0.5], atol=0.01)
 
-    def test_alias_cached(self):
-        g = running_example()
-        assert g.reverse_alias() is g.reverse_alias()
+    def test_row_rounding_below_one_stays_in_row(self):
+        """Ten weights of 0.1 sum to 0.9999999999999999: a draw above the
+        row's last cumulative weight must still land in the row."""
+        weights = [0.1] * 10
+        assert np.cumsum(weights)[-1] < 1.0
+        g = _star(weights)
+        nodes = np.r_[np.zeros(100_000), np.arange(1, 11)].astype(np.int64)
+        draws = g.sample_in(nodes, np.random.default_rng(3))
+        assert (draws[:100_000] >= 1).all()
+        assert draws[100_000:].tolist() == list(range(1, 11))  # self-loops
+        freq = np.bincount(draws[:100_000], minlength=11)[1:] / 100_000
+        assert np.allclose(freq, 0.1, atol=0.01)
+
+        class TopDraw:  # the largest double in [0, 1), for every draw
+            def random(self, size):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        assert g.sample_in(np.arange(11), TopDraw()).tolist() == [10, *range(1, 11)]
+
+    def test_draws_stay_in_segment_on_random_graphs(self):
+        g = random_instance(300, seed=6, avg_deg=4.0)
+        nodes = np.repeat(np.arange(g.n), 50)
+        draws = g.sample_in(nodes, np.random.default_rng(4))
+        edges = set(zip(g.src.tolist(), g.dst.tolist()))
+        assert all((u, v) in edges for u, v in zip(draws.tolist(), nodes.tolist()))
 
 
 class TestAdjacencyAndExport:

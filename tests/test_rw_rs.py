@@ -1,12 +1,14 @@
 """Integration tests for the RW (Alg. 4) and RS (Alg. 5) selectors.
 
-Walks and sketches are generated on Spark; the greedy rounds run on the
-driver (``core.coverage``).  Graphs are kept small (n ≤ 60, t ≤ 4) so the
-exact DM greedy, which the quality checks compare against, stays cheap.
+Walks, sketches and RR sets are sampled on the driver and the greedy
+rounds run there too (``core.coverage``): no Spark job is launched.
+Graphs are kept small (n ≤ 60, t ≤ 4) so the exact DM greedy, which the
+quality checks compare against, stays cheap.
 """
 import numpy as np
 import pytest
 
+from repro.baselines.im import expected_influence_spread, select_seeds_im
 from repro.core.coverage import WalkGreedy
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.core.rs import RSSelector
@@ -28,18 +30,15 @@ def small_graph():
 
 
 class TestRW:
-    def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
+    def test_gain_pipeline_matches_bruteforce(self, small_graph):
         """Estimated marginal gains ≡ recomputing the estimate per candidate."""
         g = small_graph
         lam = 10
-        table = generate_walks(spark, g, 0, 3, lam=lam, seed=1).toArrow()
-        gains = WalkGreedy(g, 0, 3, "cumulative", table, unit="start").gains()
-        walks = table.to_pandas()
+        walks = generate_walks(g, 0, 3, lam=lam, seed=1)
+        gains = WalkGreedy(g, 0, 3, "cumulative", walks, unit=walks.start).gains()
         for v in range(15):
             exp = sum(
-                (1.0 - op) / lam
-                for path, op in zip(walks["path"], walks["op"])
-                if v in list(path)
+                (1.0 - op) / lam for path, op in zip(walks.paths(), walks.op) if v in path
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
@@ -96,20 +95,17 @@ class TestRS:
         exact = _exact(g, 0, 3, [], "cumulative")
         assert abs(est - exact) / exact < 0.15
 
-    def test_gain_pipeline_matches_bruteforce(self, spark, small_graph):
+    def test_gain_pipeline_matches_bruteforce(self, small_graph):
         g = small_graph
         starts = np.random.default_rng(9).choice(g.n, size=300)
-        table = generate_walks(spark, g, 0, 3, starts=starts, seed=10).toArrow()
+        walks = generate_walks(g, 0, 3, starts=starts, seed=10)
         scale = g.n / 300
         gains = WalkGreedy(
-            g, 0, 3, "cumulative", table, unit="walk_id", scale=scale
+            g, 0, 3, "cumulative", walks, unit=np.arange(300), scale=scale
         ).gains()
-        walks = table.to_pandas()
         for v in range(15):
             exp = scale * sum(
-                (1.0 - op)
-                for path, op in zip(walks["path"], walks["op"])
-                if v in list(path)
+                (1.0 - op) for path, op in zip(walks.paths(), walks.op) if v in path
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
@@ -162,3 +158,19 @@ class TestEntryPoints:
         sel = RWSelector(spark, g, 0, 0, "cumulative", lam=3, seed=3)
         assert np.isclose(sel.estimated_score(), g.b0[0].sum())
         assert len(set(sel.select(3))) == 3
+
+
+class TestNoSparkJobs:
+    def test_sampling_and_selection_launch_no_spark_job(self, spark, small_graph):
+        """RW, RS and IMM selection plus EIS run entirely on the driver."""
+        sc, g = spark.sparkContext, small_graph
+        sc.setJobGroup("no-spark-jobs", "driver-side sampling")
+        try:
+            RWSelector(spark, g, 0, 3, "plurality", lam=5, seed=1).select(2)
+            RSSelector(spark, g, 0, 3, "copeland", theta=200, seed=2).select(2)
+            seeds = select_seeds_im(spark, g, "ic", 2, theta=300, seed=3)
+            expected_influence_spread(spark, g, "lt", seeds, theta=300)
+            jobs = sc.statusTracker().getJobIdsForGroup("no-spark-jobs")
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert jobs == []

@@ -1,54 +1,107 @@
-"""Tests for reverse random walks (§V): unbiasedness (Thms 8–9),
-truncation semantics, and the Spark generation pipeline."""
+"""Tests for reverse random walks (§V): the driver-side kernel,
+unbiasedness (Thms 8–9) and truncation semantics."""
 import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.opinion.walks import (
-    generate_walks,
-    generate_walks_np,
-    truncated_estimate_np,
-    walk_kernel,
-)
+from repro.opinion.walks import generate_walks, truncated_estimate_np, walk_kernel
+
+
+def _paths(g, starts, t, seed):
+    walks = generate_walks(g, 0, t, starts=np.asarray(starts), seed=seed)
+    return walks.paths()
+
+
+def _mean_by_start(walks, op):
+    return np.bincount(walks.start, weights=op) / np.bincount(walks.start)
 
 
 class TestKernel:
     def test_path_starts_at_start_node(self):
-        g = running_example()
-        rng = np.random.default_rng(0)
-        paths = walk_kernel(np.array([2, 3]), 3, g.reverse_alias(), g.d[0], rng)
+        paths = _paths(running_example(), [2, 3], 3, seed=0)
         assert paths[0][0] == 2 and paths[1][0] == 3
 
     @pytest.mark.parametrize("t", [0, 1, 4])
     def test_path_length_bounded(self, t):
-        g = random_instance(50, seed=1)
-        rng = np.random.default_rng(1)
-        paths = walk_kernel(np.arange(50), t, g.reverse_alias(), g.d[0], rng)
+        paths = _paths(random_instance(50, seed=1), np.arange(50), t, seed=1)
         assert all(1 <= len(p) <= t + 1 for p in paths)
 
     def test_fully_stubborn_walks_stop_immediately(self):
         g = random_instance(30, seed=2)
         g.d[:] = 1.0
-        rng = np.random.default_rng(2)
-        paths = walk_kernel(np.arange(30), 5, g.reverse_alias(), g.d[0], rng)
-        assert all(len(p) == 1 for p in paths)
+        assert all(len(p) == 1 for p in _paths(g, np.arange(30), 5, seed=2))
 
     def test_non_stubborn_walks_run_full_length(self):
         g = random_instance(30, seed=3)
         g.d[:] = 0.0
-        rng = np.random.default_rng(3)
-        paths = walk_kernel(np.arange(30), 5, g.reverse_alias(), g.d[0], rng)
-        assert all(len(p) == 6 for p in paths)
+        assert all(len(p) == 6 for p in _paths(g, np.arange(30), 5, seed=3))
 
     def test_steps_follow_reverse_edges(self):
-        g = running_example()
-        rng = np.random.default_rng(4)
-        in_nbrs = {0: {0}, 1: {1}, 2: {0, 1}, 3: {2}}
-        paths = walk_kernel(np.full(200, 3), 2, g.reverse_alias(), g.d[0], rng)
-        for p in paths:
+        g = random_instance(40, seed=4, avg_deg=3.0)
+        g.d[:] = 0.2
+        edges = set(zip(g.src.tolist(), g.dst.tolist()))
+        for p in _paths(g, np.repeat(np.arange(40), 20), 4, seed=4):
             for a, b in zip(p, p[1:]):
-                assert b in in_nbrs[a]
+                assert (b, a) in edges
+
+    def test_incidence_positions_follow_paths(self):
+        g = random_instance(30, seed=5)
+        rng = np.random.default_rng(5)
+        item, pos, node, end = walk_kernel(g, np.arange(30), 4, g.d[0], rng)
+        paths = [[] for _ in range(30)]
+        for i, p, v in sorted(zip(item, pos, node)):
+            assert p == len(paths[i])
+            paths[i].append(v)
+        assert [p[-1] for p in paths] == end.tolist()
+
+
+class TestSparkPipeline:
+    """``generate_walks``, the entry point that replaced the Spark walk
+    pipeline; the class and test names are kept from that pipeline."""
+
+    def test_generate_walks_schema_and_count(self):
+        w = generate_walks(random_instance(40, seed=6), 0, 3, lam=5, seed=1)
+        assert len(w.start) == len(w.op) == 40 * 5
+        assert len(w.item) == len(w.pos) == len(w.node)
+
+    def test_walks_per_start(self):
+        w = generate_walks(random_instance(30, seed=7), 0, 2, lam=7, seed=2)
+        assert (np.bincount(w.start, minlength=30) == 7).all()
+
+    def test_starts_mode(self):
+        g = random_instance(30, seed=8)
+        w = generate_walks(g, 0, 2, starts=np.array([0, 0, 5, 7]), seed=3)
+        assert w.start.tolist() == [0, 0, 5, 7]
+
+    def test_requires_exactly_one_mode(self):
+        g = random_instance(10, seed=9)
+        with pytest.raises(ValueError):
+            generate_walks(g, 0, 2, lam=3, starts=np.array([0]))
+        with pytest.raises(ValueError):
+            generate_walks(g, 0, 2)
+
+    def test_op_is_b0_of_path_end(self):
+        g = random_instance(30, seed=10)
+        w = generate_walks(g, 0, 3, lam=3, seed=4)
+        ends = [p[-1] for p in w.paths()]
+        assert np.array_equal(w.op, g.b0[0, ends])
+
+    def test_deterministic_in_seed(self):
+        g = random_instance(20, seed=11)
+        a = generate_walks(g, 0, 3, lam=3, seed=5)
+        b = generate_walks(g, 0, 3, lam=3, seed=5)
+        for f in ("item", "pos", "node", "start", "op"):
+            assert np.array_equal(getattr(a, f), getattr(b, f))
+        c = generate_walks(g, 0, 3, lam=3, seed=6)
+        assert a.paths() != c.paths()
+
+    def test_spark_estimates_close_to_exact(self):
+        g = random_instance(20, seed=14, avg_deg=3.0)
+        t = 3
+        w = generate_walks(g, 0, t, lam=400, seed=8)
+        exact = fj_diffuse_np(g, t)[0]
+        assert np.abs(_mean_by_start(w, w.op) - exact).max() < 0.08
 
 
 class TestUnbiasedness:
@@ -58,8 +111,8 @@ class TestUnbiasedness:
         g = running_example()
         exact = fj_diffuse_np(g, t)[0]
         starts = np.repeat(np.arange(4), 20_000)
-        wdf = generate_walks_np(g, 0, starts, t, seed=11)
-        est = wdf.groupby("start")["op"].mean().to_numpy()
+        w = generate_walks(g, 0, t, starts=starts, seed=11)
+        est = _mean_by_start(w, w.op)
         assert np.abs(est - exact).max() < 0.02
 
     def test_truncation_unbiased(self):
@@ -68,11 +121,9 @@ class TestUnbiasedness:
         S = {2}
         exact = fj_diffuse_np(g.with_seeds(0, list(S)), 2)[0]
         starts = np.repeat(np.arange(4), 20_000)
-        wdf = generate_walks_np(g, 0, starts, 2, seed=12)
-        wdf["op2"] = [
-            truncated_estimate_np(p, o, S) for p, o in zip(wdf["path"], wdf["op"])
-        ]
-        est = wdf.groupby("start")["op2"].mean().to_numpy()
+        w = generate_walks(g, 0, 2, starts=starts, seed=12)
+        op2 = [truncated_estimate_np(p, o, S) for p, o in zip(w.paths(), w.op)]
+        est = _mean_by_start(w, op2)
         assert np.abs(est - exact).max() < 0.02
 
     def test_truncation_on_random_graph(self):
@@ -81,11 +132,9 @@ class TestUnbiasedness:
         t = 3
         exact = fj_diffuse_np(g.with_seeds(0, list(S)), t)[0]
         starts = np.repeat(np.arange(g.n), 4000)
-        wdf = generate_walks_np(g, 0, starts, t, seed=13)
-        wdf["op2"] = [
-            truncated_estimate_np(p, o, S) for p, o in zip(wdf["path"], wdf["op"])
-        ]
-        est = wdf.groupby("start")["op2"].mean().to_numpy()
+        w = generate_walks(g, 0, t, starts=starts, seed=13)
+        op2 = [truncated_estimate_np(p, o, S) for p, o in zip(w.paths(), w.op)]
+        est = _mean_by_start(w, op2)
         assert np.abs(est - exact).max() < 0.05
 
 
@@ -98,52 +147,3 @@ class TestTruncationSemantics:
 
     def test_start_node_as_seed(self):
         assert truncated_estimate_np([5, 1], 0.2, {5}) == 1.0
-
-
-class TestSparkPipeline:
-    def test_generate_walks_schema_and_count(self, spark):
-        g = random_instance(40, seed=6)
-        w = generate_walks(spark, g, 0, 3, lam=5, seed=1)
-        assert w.count() == 40 * 5
-        assert set(w.columns) == {"walk_id", "start", "path", "op"}
-
-    def test_walks_per_start(self, spark):
-        g = random_instance(30, seed=7)
-        w = generate_walks(spark, g, 0, 2, lam=7, seed=2)
-        counts = w.groupBy("start").count().toPandas()
-        assert (counts["count"] == 7).all() and len(counts) == 30
-
-    def test_starts_mode(self, spark):
-        g = random_instance(30, seed=8)
-        starts = np.array([0, 0, 5, 7])
-        w = generate_walks(spark, g, 0, 2, starts=starts, seed=3).toPandas()
-        assert sorted(w["start"].tolist()) == [0, 0, 5, 7]
-
-    def test_requires_exactly_one_mode(self, spark):
-        g = random_instance(10, seed=9)
-        with pytest.raises(ValueError):
-            generate_walks(spark, g, 0, 2, lam=3, starts=np.array([0]))
-        with pytest.raises(ValueError):
-            generate_walks(spark, g, 0, 2)
-
-    def test_op_is_b0_of_path_end(self, spark):
-        g = random_instance(30, seed=10)
-        pdf = generate_walks(spark, g, 0, 3, lam=3, seed=4).toPandas()
-        ends = pdf["path"].map(lambda p: p[-1]).to_numpy()
-        assert np.allclose(pdf["op"].to_numpy(), g.b0[0, ends])
-
-    def test_deterministic_in_seed(self, spark):
-        g = random_instance(20, seed=11)
-        a = generate_walks(spark, g, 0, 3, lam=3, seed=5).toPandas()
-        b = generate_walks(spark, g, 0, 3, lam=3, seed=5).toPandas()
-        a = a.sort_values("walk_id").reset_index(drop=True)
-        b = b.sort_values("walk_id").reset_index(drop=True)
-        assert (a["path"].map(tuple) == b["path"].map(tuple)).all()
-
-    def test_spark_estimates_close_to_exact(self, spark):
-        g = random_instance(20, seed=14, avg_deg=3.0)
-        t = 3
-        w = generate_walks(spark, g, 0, t, lam=400, seed=8).toPandas()
-        est = w.groupby("start")["op"].mean().sort_index().to_numpy()
-        exact = fj_diffuse_np(g, t)[0]
-        assert np.abs(est - exact).max() < 0.08
