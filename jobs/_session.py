@@ -2,9 +2,11 @@
 
 Mirrors the conftest fixture's configuration.  ``spark.driver.memory``
 must be set before the JVM launches, so it goes into
-``PYSPARK_SUBMIT_ARGS`` at import time (same mechanism as conftest.py);
-the default 1g driver heap is too small for the iterative Spark jobs'
-AQE plan strings and for the walks collected to the driver.
+``PYSPARK_SUBMIT_ARGS`` at import time (same mechanism as conftest.py).
+It is a deployment setting: the driver JVM holds the broadcast instance
+and the collected scores of the exact evaluator's ``mapInPandas`` batches,
+which grow with the graph; walks, sketches and RR sets live in the Python
+process, not in the JVM heap.
 """
 import os
 

@@ -17,8 +17,9 @@ def main() -> None:
     )
     ap.add_argument(
         "--theta", type=int, default=None,
-        help="RS sketch budget (default max(1024, n/2)); Thm 13 needs "
-        "θ ≈ λ·n at lite scale, so accuracy studies should raise this",
+        help="RS sketch budget (default: default_rs_theta(n) in "
+        "repro.experiments.tables); Thm 13 needs θ ≈ λ·n at lite scale, "
+        "so accuracy studies should raise this",
     )
     ap.add_argument(
         "--target",

@@ -126,6 +126,7 @@ class ExactEvaluator:
         local_threshold: int = 256,
         batch: int = 512,
     ):
+        graph.check_candidate(target)
         self.spark = spark
         self.graph = graph
         self.target = target

@@ -17,17 +17,15 @@ For Copeland:
 Algorithm 3 then returns argmax_F over {S_U, S_L, S_F}; the empirical
 quality ratio F(S_U)/UB(S_U) (§IV-D) is reported alongside.
 
-Reachable sets are computed as a Spark iterative frontier-join BFS
-(`reach_pairs`), with a NumPy reference (`reach_sets_np`) used by the
-coverage greedy and the tests.
+Favorable sets come from the exact FJ diffusion (``fj_diffuse_np``) and
+reachable sets from a per-node NumPy BFS (``reach_sets_np``); both run on
+the driver.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.coverage import Coverage
 from repro.core.dm import ExactEvaluator, greedy_dm
@@ -82,34 +80,6 @@ def reach_sets_np(graph: OpinionGraph, t: int) -> list[np.ndarray]:
             frontier = nxt_arr
         out.append(mask)
     return out
-
-
-def reach_pairs(edges: DataFrame, t: int) -> DataFrame:
-    """Spark BFS: all (root, node) pairs with node ≤ t hops from root.
-
-    ``edges`` is the forward edge DataFrame (src, dst, w); self-loops are
-    ignored.  Iterative frontier expansion with distinct + persist per
-    round (bounded lineage for small t).
-    """
-    fwd = edges.where(F.col("src") != F.col("dst")).select("src", "dst")
-    roots = edges.select(F.col("src").alias("root")).union(
-        edges.select(F.col("dst"))
-    ).distinct()
-    reached = roots.select("root", F.col("root").alias("node")).persist()
-    frontier = reached
-    for _ in range(t):
-        nxt = (
-            frontier.join(fwd, frontier["node"] == fwd["src"])
-            .select("root", F.col("dst").alias("node"))
-            .distinct()
-            .join(reached, on=["root", "node"], how="left_anti")
-            .persist()
-        )
-        if nxt.count() == 0:
-            break
-        reached = reached.union(nxt).persist()
-        frontier = nxt
-    return reached
 
 
 # --------------------------------------------------------------------- #

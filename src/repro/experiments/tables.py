@@ -69,6 +69,15 @@ def table4(spark, **kw) -> tuple[pd.DataFrame, dict]:
 METHODS = ("DM", "RW", "RS", "IC", "LT", "GED-T", "PR", "RWR", "DC")
 
 
+def default_rs_theta(n: int) -> int:
+    """RS sketch budget when the caller gives none: ``max(1024, n // 2)``.
+
+    A fixed rule, not Thm 13's θ (which needs θ ≈ λ·n at lite scale);
+    ``core.walk_budget.heuristic_theta`` is the adaptive alternative.
+    """
+    return max(1024, n // 2)
+
+
 def select_with_method(
     spark,
     graph: OpinionGraph,
@@ -95,7 +104,7 @@ def select_with_method(
         finally:
             sel.close()
     if method == "RS":
-        th = theta or max(1024, graph.n // 2)
+        th = theta or default_rs_theta(graph.n)
         sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
         try:
             return sel.select(k)
@@ -108,11 +117,11 @@ def select_with_method(
     if method == "GED-T":
         return ged_t_seeds(spark, graph, target, t, k)
     if method == "PR":
-        return pagerank_seeds(spark, graph, k)
+        return pagerank_seeds(graph, k)
     if method == "RWR":
-        return rwr_seeds(spark, graph, k, target)
+        return rwr_seeds(graph, k, target)
     if method == "DC":
-        return degree_seeds(spark, graph, k)
+        return degree_seeds(graph, k)
     raise ValueError(f"unknown method: {method}")
 
 
@@ -185,7 +194,7 @@ def table6(
     from repro.core.win import target_wins
 
     rw_sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
-    th = theta or max(1024, graph.n // 2)
+    th = theta or default_rs_theta(graph.n)
     rs_sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
     ev = ExactEvaluator(spark, graph, target, t, score)
     dm_state: list[int] = []

@@ -7,10 +7,9 @@ node sum to 1), an initial-opinion matrix ``b0 ∈ [0,1]^{r×n}`` and a
 stubbornness matrix ``d ∈ [0,1]^{r×n}`` — one row per candidate.
 
 Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
-deterministic, cheaply broadcastable to Spark executors, and usable by the
-pure-NumPy reference implementations.  ``to_spark_edges`` /
-``to_spark_state`` export the instance as DataFrames for the Spark SQL
-jobs; all distributed algorithms consume those DataFrames.
+deterministic, cheap to broadcast to the Spark executors of the exact
+evaluator, and read directly by every NumPy kernel (FJ steps, samplers,
+reachable sets, centrality).
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit
@@ -22,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, SparkSession
 
 
 @dataclass
@@ -107,6 +104,15 @@ class OpinionGraph:
         """Number of (normalized) edges, self-loops included."""
         return len(self.src)
 
+    def check_candidate(self, cand: int) -> None:
+        """Raise ``ValueError`` unless ``cand`` indexes a candidate row.
+
+        Guards against NumPy's negative-index wrap: ``b0[-1]`` would
+        silently select the last candidate.
+        """
+        if not 0 <= cand < self.r:
+            raise ValueError(f"candidate {cand} outside [0, r={self.r})")
+
     def validate(self) -> None:
         """Assert the column-stochastic invariant (used by tests)."""
         in_sum = np.zeros(self.n)
@@ -119,6 +125,7 @@ class OpinionGraph:
     # ------------------------------------------------------------------ #
     def with_seeds(self, cand: int, seeds) -> "OpinionGraph":
         """Return a copy with ``b0[cand, S] = d[cand, S] = 1`` (paper §II-C)."""
+        self.check_candidate(cand)
         b0 = self.b0.copy()
         d = self.d.copy()
         seeds = np.asarray(list(seeds), dtype=np.int64)
@@ -174,69 +181,6 @@ class OpinionGraph:
         indptr = np.zeros(self.n + 1, dtype=np.int64)
         np.add.at(indptr, src + 1, 1)
         return np.cumsum(indptr), dst.astype(np.int32)
-
-    # ------------------------------------------------------------------ #
-    # Spark exporters
-    # ------------------------------------------------------------------ #
-    def to_spark_edges(self, spark: SparkSession) -> DataFrame:
-        """Edges as a DataFrame ``(src, dst, w)`` with self-loops included."""
-        return spark.createDataFrame(
-            pd.DataFrame(
-                {
-                    "src": self.src.astype("int64"),
-                    "dst": self.dst.astype("int64"),
-                    "w": self.w,
-                }
-            )
-        )
-
-    def to_spark_state(
-        self, spark: SparkSession, cand: int | None = None
-    ) -> DataFrame:
-        """Opinion state as a long DataFrame ``(node, cand, b, b0, d)``.
-
-        ``b`` starts equal to ``b0``; diffusion jobs rewrite ``b``.  When
-        ``cand`` is given, only that candidate's row block is exported.
-        """
-        cands = range(self.r) if cand is None else [cand]
-        frames = [
-            pd.DataFrame(
-                {
-                    "node": np.arange(self.n, dtype="int64"),
-                    "cand": np.int32(q),
-                    "b": self.b0[q],
-                    "b0": self.b0[q],
-                    "d": self.d[q],
-                }
-            )
-            for q in cands
-        ]
-        return spark.createDataFrame(pd.concat(frames, ignore_index=True))
-
-    def edges_pdf(self) -> pd.DataFrame:
-        """Edges as pandas (for the DuckDB oracle)."""
-        return pd.DataFrame(
-            {"src": self.src.astype("int64"), "dst": self.dst.astype("int64"), "w": self.w}
-        )
-
-    def state_pdf(self, cand: int | None = None) -> pd.DataFrame:
-        """Opinion state as pandas (for the DuckDB oracle)."""
-        cands = range(self.r) if cand is None else [cand]
-        return pd.concat(
-            [
-                pd.DataFrame(
-                    {
-                        "node": np.arange(self.n, dtype="int64"),
-                        "cand": np.int32(q),
-                        "b": self.b0[q],
-                        "b0": self.b0[q],
-                        "d": self.d[q],
-                    }
-                )
-                for q in cands
-            ],
-            ignore_index=True,
-        )
 
 
 def spmv_dst(graph: OpinionGraph, x: np.ndarray) -> np.ndarray:

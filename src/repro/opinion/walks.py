@@ -90,8 +90,7 @@ def generate_walks(
     walk per entry of ``starts`` (RS sketches, Alg. 5)."""
     if (lam is None) == (starts is None):
         raise ValueError("pass exactly one of lam= or starts=")
-    if not 0 <= cand < graph.r:
-        raise ValueError(f"candidate {cand} outside [0, r={graph.r})")
+    graph.check_candidate(cand)
     if starts is None:
         starts = np.repeat(np.arange(graph.n, dtype=np.int64), lam)
     starts = np.asarray(starts, dtype=np.int64)

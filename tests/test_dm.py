@@ -85,6 +85,14 @@ class TestEvaluator:
             ev = ExactEvaluator(None, g, 0, 4, score)
             assert np.isclose(ev.score_of([3, 5]), _exact_score(g, 0, 4, [3, 5], score))
 
+    @pytest.mark.parametrize("target", [-1, 2])
+    @pytest.mark.parametrize("score", ["cumulative", "plurality"])
+    def test_target_out_of_range_raises(self, target, score):
+        """−1 used to wrap to the last candidate; r raised a bare IndexError."""
+        g = random_instance(10, r=2, seed=3)
+        with pytest.raises(ValueError, match="outside"):
+            ExactEvaluator(None, g, target, 2, score)
+
     def test_score_of_with_mask(self):
         g = random_instance(30, seed=8)
         mask = np.zeros(30, dtype=bool)

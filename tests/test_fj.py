@@ -1,22 +1,9 @@
-"""Tests for FJ/DeGroot diffusion — NumPy reference, Spark job, DuckDB oracle."""
+"""Tests for FJ/DeGroot diffusion (the NumPy kernel)."""
 import numpy as np
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
-from repro.opinion.fj import diffuse, fj_diffuse_np, fj_step, opinions_at_horizon_np
-from repro.oracle import assert_equivalent
-
-# One FJ step as SQL (DuckDB oracle side); identical aliases to fj_step.
-_FJ_STEP_SQL = """
-SELECT s.node AS node, s.cand AS cand,
-       (1 - s.d) * agg.a + s.d * s.b0 AS b
-FROM state s
-JOIN (
-    SELECT e.dst AS node, st.cand AS cand, SUM(e.w * st.b) AS a
-    FROM edges e JOIN state st ON e.src = st.node
-    GROUP BY e.dst, st.cand
-) agg ON s.node = agg.node AND s.cand = agg.cand
-"""
+from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
 
 
 class TestNumpyReference:
@@ -88,30 +75,12 @@ class TestNumpyReference:
         # Aggregation of 1s is 1; stubbornness mixes back toward b0 ≤ 1.
         assert (b <= 1 + 1e-12).all() and (b >= g.b0.min() - 1e-12).all()
 
-
-@pytest.mark.parametrize("n,r,t,seed", [(40, 2, 1, 0), (40, 2, 3, 1), (80, 3, 4, 2)])
-def test_spark_diffuse_matches_numpy(spark, n, r, t, seed):
-    g = random_instance(n, r=r, seed=seed)
-    out = diffuse(g.to_spark_edges(spark), g.to_spark_state(spark), t)
-    pdf = out.toPandas().sort_values(["cand", "node"])
-    got = pdf["b"].to_numpy().reshape(r, n)
-    assert np.allclose(got, fj_diffuse_np(g, t))
-
-
-def test_spark_fj_step_oracle(spark):
-    """One FJ step: Spark job ≡ DuckDB SQL over the same tables."""
-    g = random_instance(50, r=2, seed=8)
-    edges = g.to_spark_edges(spark)
-    state = g.to_spark_state(spark)
-    stepped = fj_step(edges, state).select("node", "cand", "b")
-    assert_equivalent(
-        stepped, _FJ_STEP_SQL, edges=g.edges_pdf(), state=g.state_pdf()
-    )
-
-
-def test_spark_diffuse_long_horizon_checkpointing(spark):
-    """t crosses the localCheckpoint boundary; result still exact."""
-    g = random_instance(30, seed=9)
-    out = diffuse(g.to_spark_edges(spark), g.to_spark_state(spark), 7)
-    pdf = out.toPandas().sort_values(["cand", "node"])
-    assert np.allclose(pdf["b"].to_numpy(), fj_diffuse_np(g, 7).ravel())
+    @pytest.mark.parametrize("n,r,t,seed", [(40, 2, 1, 0), (40, 2, 3, 1), (80, 3, 4, 2)])
+    def test_matches_dense_matrix_recurrence(self, n, r, t, seed):
+        """Eq. 2 written with the dense W: b ← (1 − d)·(b W) + d·b0."""
+        g = random_instance(n, r=r, seed=seed)
+        W = g.dense_w()
+        b = g.b0.copy()
+        for _ in range(t):
+            b = (1.0 - g.d) * (b @ W) + g.d * g.b0
+        assert np.allclose(fj_diffuse_np(g, t), b)

@@ -101,6 +101,11 @@ class TestSeeds:
         g2 = g.with_seeds(0, [])
         assert np.array_equal(g2.b0, g.b0) and np.array_equal(g2.d, g.d)
 
+    @pytest.mark.parametrize("cand", [-1, 2])
+    def test_candidate_out_of_range_raises(self, cand):
+        with pytest.raises(ValueError, match="outside"):
+            running_example().with_seeds(cand, [0])
+
 
 class TestSpmv:
     @pytest.mark.parametrize("seed", range(5))
@@ -199,31 +204,3 @@ class TestAdjacencyAndExport:
         indptr, indices = g.out_adjacency()
         assert list(indices[indptr[0] : indptr[1]]) == [2]
         assert list(indices[indptr[2] : indptr[3]]) == [3]
-
-    def test_edges_pdf_roundtrip(self):
-        g = running_example()
-        pdf = g.edges_pdf()
-        assert len(pdf) == g.m and set(pdf.columns) == {"src", "dst", "w"}
-
-    def test_state_pdf_has_all_candidates(self):
-        g = running_example()
-        pdf = g.state_pdf()
-        assert len(pdf) == g.n * g.r
-        assert set(pdf["cand"].unique()) == {0, 1}
-
-    def test_state_pdf_single_candidate(self):
-        g = running_example()
-        pdf = g.state_pdf(cand=1)
-        assert (pdf["cand"] == 1).all() and len(pdf) == g.n
-
-    def test_to_spark_edges_schema(self, spark):
-        g = running_example()
-        df = g.to_spark_edges(spark)
-        assert set(df.columns) == {"src", "dst", "w"}
-        assert df.count() == g.m
-
-    def test_to_spark_state_matches_pdf(self, spark):
-        g = running_example()
-        got = g.to_spark_state(spark).toPandas().sort_values(["cand", "node"])
-        exp = g.state_pdf().sort_values(["cand", "node"])
-        assert np.allclose(got["b"].to_numpy(), exp["b"].to_numpy())

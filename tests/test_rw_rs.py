@@ -8,6 +8,7 @@ quality checks compare against, stays cheap.
 import numpy as np
 import pytest
 
+from repro.baselines.centrality import degree_seeds, pagerank_seeds, rwr_seeds
 from repro.baselines.im import expected_influence_spread, select_seeds_im
 from repro.core.coverage import WalkGreedy
 from repro.core.dm import ExactEvaluator, greedy_dm
@@ -162,7 +163,8 @@ class TestEntryPoints:
 
 class TestNoSparkJobs:
     def test_sampling_and_selection_launch_no_spark_job(self, spark, small_graph):
-        """RW, RS and IMM selection plus EIS run entirely on the driver."""
+        """RW, RS, IMM and centrality selection plus EIS run entirely on the
+        driver."""
         sc, g = spark.sparkContext, small_graph
         sc.setJobGroup("no-spark-jobs", "driver-side sampling")
         try:
@@ -170,6 +172,9 @@ class TestNoSparkJobs:
             RSSelector(spark, g, 0, 3, "copeland", theta=200, seed=2).select(2)
             seeds = select_seeds_im(spark, g, "ic", 2, theta=300, seed=3)
             expected_influence_spread(spark, g, "lt", seeds, theta=300)
+            pagerank_seeds(g, 2)
+            rwr_seeds(g, 2, 0)
+            degree_seeds(g, 2)
             jobs = sc.statusTracker().getJobIdsForGroup("no-spark-jobs")
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)

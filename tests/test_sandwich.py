@@ -1,14 +1,12 @@
 """Tests for the sandwich approximation machinery (§IV, Thms 5–7)."""
 import numpy as np
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.dm import ExactEvaluator
 from repro.core.sandwich import (
     favorable_users_np,
     greedy_coverage,
     lb_value,
-    reach_pairs,
     reach_sets_np,
     sandwich_select,
     ub_value,
@@ -16,7 +14,6 @@ from repro.core.sandwich import (
 )
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np
-from repro.oracle import assert_equivalent
 from repro.voting.scores import rank_np
 
 
@@ -62,31 +59,15 @@ class TestReachability:
         for a, b in zip(r1, r3):
             assert not (a & ~b).any()
 
-    def test_reach_pairs_matches_numpy(self, spark):
+    @pytest.mark.parametrize("t", [1, 2, 4])
+    def test_reach_matches_adjacency_powers(self, t):
+        """N_v^(t) ≡ nonzero entries of row v of (I + A)^t (A: real edges)."""
         g = random_instance(30, seed=5, avg_deg=2.0)
-        t = 2
-        pairs = reach_pairs(g.to_spark_edges(spark), t).toPandas()
-        ref = reach_sets_np(g, t)
-        got = {(int(r.root), int(r.node)) for r in pairs.itertuples()}
-        exp = {
-            (v, u) for v in range(g.n) for u in np.flatnonzero(ref[v])
-        }
-        assert got == exp
-
-    def test_reach_pairs_one_hop_oracle(self, spark):
-        """1-hop reachability ≡ DuckDB SQL (self ∪ direct successors)."""
-        g = random_instance(25, seed=6, avg_deg=2.0)
-        pairs = reach_pairs(g.to_spark_edges(spark), 1).select("root", "node")
-        sql = """
-            SELECT DISTINCT root, node FROM (
-                SELECT src AS root, dst AS node FROM edges WHERE src <> dst
-                UNION ALL
-                SELECT v AS root, v AS node FROM (
-                    SELECT src AS v FROM edges UNION SELECT dst AS v FROM edges
-                )
-            )
-        """
-        assert_equivalent(pairs, sql, edges=g.edges_pdf())
+        step = np.eye(g.n, dtype=np.int64)
+        real = g.src != g.dst
+        step[g.src[real], g.dst[real]] = 1
+        hops = np.linalg.matrix_power(step, t) > 0
+        assert np.array_equal(np.array(reach_sets_np(g, t)), hops)
 
 
 class TestCoverageGreedy:

@@ -1,12 +1,10 @@
-"""Tests for the five voting scores — NumPy, Spark SQL, DuckDB oracle,
+"""Tests for the five voting scores — NumPy semantics, brute-force loops
 and the exact reproduction of paper Table I."""
 import numpy as np
-import pandas as pd
 import pytest
 
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
-from repro.oracle import assert_equivalent
 from repro.voting.scores import (
     copeland_np,
     cumulative_np,
@@ -15,7 +13,6 @@ from repro.voting.scores import (
     positional_p_approval_np,
     rank_contrib_np,
     rank_np,
-    score_df,
     score_np,
     winner_np,
 )
@@ -146,22 +143,24 @@ class TestNumpyScores:
             score_np(np.zeros((2, 3)), 0, "borda")
 
     @pytest.mark.parametrize(
-        "score", ["cumulative", "plurality", "p_approval", "copeland"]
+        "score",
+        ["cumulative", "plurality", "p_approval", "positional_p_approval", "copeland"],
     )
     def test_brute_force_equivalence(self, score):
         """Score semantics vs a direct per-user loop."""
         g = random_instance(30, r=3, seed=7)
         b = fj_diffuse_np(g, 2)
         q, p = 0, 2
+        omega = np.array([1.0, 0.4, 0.0])
         if score == "cumulative":
             exp = sum(b[q, v] for v in range(g.n))
-        elif score in ("plurality", "p_approval"):
+        elif score in ("plurality", "p_approval", "positional_p_approval"):
             pp = 1 if score == "plurality" else p
-            exp = sum(
-                1
-                for v in range(g.n)
-                if sum(b[x, v] >= b[q, v] for x in range(g.r)) <= pp
-            )
+            om = omega if score == "positional_p_approval" else np.ones(g.r)
+            exp = 0.0
+            for v in range(g.n):
+                beta = sum(b[x, v] >= b[q, v] for x in range(g.r))
+                exp += om[beta - 1] if beta <= pp else 0.0
         else:
             exp = sum(
                 1
@@ -170,97 +169,4 @@ class TestNumpyScores:
                 and sum(b[q, v] > b[x, v] for v in range(g.n))
                 > sum(b[q, v] < b[x, v] for v in range(g.n))
             )
-        assert np.isclose(score_np(b, q, score, p=p), exp)
-
-
-# ------------------------------------------------------------------ #
-# Spark SQL vs NumPy and vs the DuckDB oracle
-# ------------------------------------------------------------------ #
-def _opinions_df(spark, g, t):
-    b = fj_diffuse_np(g, t)
-    pdf = pd.concat(
-        [
-            pd.DataFrame(
-                {"node": np.arange(g.n, dtype="int64"), "cand": np.int32(q), "b": b[q]}
-            )
-            for q in range(g.r)
-        ],
-        ignore_index=True,
-    )
-    return spark.createDataFrame(pdf), pdf, b
-
-
-@pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-def test_score_df_matches_numpy(spark, score):
-    g = random_instance(60, r=3, seed=8)
-    df, _, b = _opinions_df(spark, g, 3)
-    assert np.isclose(score_df(df, 1, score), score_np(b, 1, score))
-
-
-def test_p_approval_df_matches_numpy(spark):
-    g = random_instance(60, r=4, seed=9)
-    df, _, b = _opinions_df(spark, g, 2)
-    assert np.isclose(score_df(df, 0, "p_approval", p=2), p_approval_np(b, 0, 2))
-
-
-def test_positional_df_matches_numpy(spark):
-    g = random_instance(60, r=3, seed=10)
-    df, _, b = _opinions_df(spark, g, 2)
-    om = [1.0, 0.4, 0.0]
-    assert np.isclose(
-        score_df(df, 0, "positional_p_approval", p=2, omega=om),
-        positional_p_approval_np(b, 0, 2, np.array(om)),
-    )
-
-
-def test_cumulative_oracle(spark):
-    g = random_instance(50, r=2, seed=11)
-    df, pdf, _ = _opinions_df(spark, g, 2)
-    from pyspark.sql import functions as F
-
-    agg = df.where(F.col("cand") == 0).agg(F.sum("b").alias("s"))
-    assert_equivalent(agg, "SELECT SUM(b) AS s FROM ops WHERE cand = 0", ops=pdf)
-
-
-def test_rank_aggregate_oracle(spark):
-    """The β-rank self-aggregate (basis of the plurality variants)."""
-    from repro.voting.scores import ranks_df
-
-    g = random_instance(40, r=3, seed=12)
-    df, pdf, _ = _opinions_df(spark, g, 2)
-    got = ranks_df(df).select("node", "cand", "beta")
-    sql = """
-        SELECT o.node AS node, o.cand AS cand,
-               SUM(CASE WHEN x.b >= o.b THEN 1 ELSE 0 END) AS beta
-        FROM ops o JOIN ops x ON o.node = x.node
-        GROUP BY o.node, o.cand
-    """
-    assert_equivalent(got, sql, ops=pdf)
-
-
-def test_copeland_duel_oracle(spark):
-    from pyspark.sql import functions as F
-
-    g = random_instance(40, r=4, seed=13)
-    df, pdf, _ = _opinions_df(spark, g, 2)
-    q = 0
-    mine = df.where(F.col("cand") == q).select("node", F.col("b").alias("b_q"))
-    duel = (
-        df.where(F.col("cand") != q)
-        .join(mine, on="node")
-        .groupBy("cand")
-        .agg(
-            F.sum(F.when(F.col("b_q") > F.col("b"), 1).otherwise(0)).alias("above"),
-            F.sum(F.when(F.col("b_q") < F.col("b"), 1).otherwise(0)).alias("below"),
-        )
-    )
-    sql = """
-        SELECT x.cand AS cand,
-               SUM(CASE WHEN q.b > x.b THEN 1 ELSE 0 END) AS above,
-               SUM(CASE WHEN q.b < x.b THEN 1 ELSE 0 END) AS below
-        FROM ops x JOIN (SELECT node, b FROM ops WHERE cand = 0) q
-          ON x.node = q.node
-        WHERE x.cand <> 0
-        GROUP BY x.cand
-    """
-    assert_equivalent(duel, sql, ops=pdf)
+        assert np.isclose(score_np(b, q, score, p=p, omega=omega), exp)

@@ -4,6 +4,7 @@ import pytest
 
 from repro.experiments.tables import (
     METHODS,
+    default_rs_theta,
     scores_comparison,
     select_with_method,
     table1,
@@ -50,6 +51,10 @@ class TestDispatch:
         g = random_instance(25, seed=2)
         seeds = select_with_method(spark, g, "DM", 0, 2, 2, "cumulative")
         assert len(seeds) == 2
+
+    def test_default_rs_theta(self):
+        assert default_rs_theta(100) == 1024
+        assert default_rs_theta(4001) == 2000
 
 
 @pytest.mark.slow
