@@ -16,17 +16,17 @@ _K, _T = 5, 8
 
 @pytest.mark.parametrize("n", [250, 500, 1000])
 @pytest.mark.parametrize("method", ["DM", "RW", "RS"])
-def test_selection_time(spark, benchmark, method, n):
+def test_selection_time(benchmark, method, n):
     g = load("twitter-sd-lite", nodes=n)
 
     def run():
         if method == "DM":
-            ev = ExactEvaluator(spark, g, 0, _T, "cumulative")
+            ev = ExactEvaluator(None, g, 0, _T, "cumulative")
             return greedy_dm(ev, _K, celf=True)[0]
         if method == "RW":
-            return RWSelector(spark, g, 0, _T, "cumulative", lam=20, seed=0).select(_K)
+            return RWSelector(None, g, 0, _T, "cumulative", lam=20, seed=0).select(_K)
         return RSSelector(
-            spark, g, 0, _T, "cumulative", theta=max(256, n // 2), seed=0
+            None, g, 0, _T, "cumulative", theta=max(256, n // 2), seed=0
         ).select(_K)
 
     seeds = benchmark.pedantic(run, rounds=1, iterations=1)

@@ -19,16 +19,16 @@ def graph():
     return load("dblp-lite", nodes=200)
 
 
-def _run(spark, graph, score):
+def _run(graph, score):
     return scores_comparison(
-        spark, graph, 0, _T, _KS, [score],
+        graph, 0, _T, _KS, [score],
         methods=METHODS, lam=20, theta=400, im_theta=2000,
     )
 
 
 @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-def test_scores_comparison(spark, graph, benchmark, score):
-    df = benchmark.pedantic(lambda: _run(spark, graph, score), rounds=1, iterations=1)
+def test_scores_comparison(graph, benchmark, score):
+    df = benchmark.pedantic(lambda: _run(graph, score), rounds=1, iterations=1)
     assert len(df) == len(METHODS) * len(_KS)
     # Shape claim (paper §VIII-C): the proposed methods beat the
     # IC/LT/PR/RWR/DC baselines at the largest k.

@@ -8,9 +8,9 @@ import pandas as pd
 from repro.experiments.tables import table4
 
 
-def test_table4_case_study(spark, benchmark):
+def test_table4_case_study(benchmark):
     df, res = benchmark.pedantic(
-        lambda: table4(spark, n=240, k=8, t=8, lam=15), rounds=1, iterations=1
+        lambda: table4(n=240, k=8, t=8, lam=15), rounds=1, iterations=1
     )
     assert res["overall_with"] >= res["overall_without"]
     print()

@@ -7,10 +7,10 @@ from repro.experiments.datasets import load
 from repro.experiments.tables import table6
 
 
-def test_table6_min_seeds(spark, benchmark):
+def test_table6_min_seeds(benchmark):
     g = load("dblp-lite", nodes=160)
     df = benchmark.pedantic(
-        lambda: table6(spark, g, 0, 8, "plurality", k_max=40, lam=15, theta=600),
+        lambda: table6(g, 0, 8, "plurality", k_max=40, lam=15, theta=600),
         rounds=1,
         iterations=1,
     )

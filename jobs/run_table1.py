@@ -1,13 +1,10 @@
 """Table I: running-example scores (paper §II, Fig. 1)."""
-from _session import get_spark
 from repro.experiments.tables import table1
 
 
 def main() -> None:
-    spark = get_spark("table1")  # table is NumPy-exact; session for parity
     print("Table I — running example, t=1, target c1")
     print(table1().to_string(index=False))
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -7,24 +7,17 @@ cumulative score but **without CELF** (the paper reports GED-T ≡ DM in
 accuracy for the cumulative score, and ~2 orders of magnitude slower
 than RS).  When used as a seeder for the rank-based scores it still
 optimizes the cumulative objective, which is why it underperforms there
-(paper §VIII-C).
+(paper §VIII-C).  It runs on the driver-side exact evaluator of
+``core.dm``, as DM does.
 """
 from __future__ import annotations
-
-from pyspark.sql import SparkSession
 
 from repro.core.dm import ExactEvaluator, greedy_dm
 from repro.graphs.graph import OpinionGraph
 
 
-def ged_t_seeds(
-    spark: SparkSession | None,
-    graph: OpinionGraph,
-    target: int,
-    t: int,
-    k: int,
-) -> list[int]:
+def ged_t_seeds(graph: OpinionGraph, target: int, t: int, k: int) -> list[int]:
     """Greedy cumulative-score seeds via exact evaluation, no CELF."""
-    ev = ExactEvaluator(spark, graph, target, t, "cumulative")
+    ev = ExactEvaluator(None, graph, target, t, "cumulative")
     seeds, _ = greedy_dm(ev, k, celf=False)
     return seeds

@@ -17,8 +17,8 @@ RR sets are sampled on the driver, all roots at once: each BFS level (IC)
 or path step (LT) is one vectorised draw from a single
 ``np.random.default_rng(seed)`` stream, so a given ``seed`` gives the same
 sets on any machine.  They come out as a flat (item, node) incidence.
-``spark`` parameters are kept for a uniform baseline signature and are
-not used.
+``select_seeds_im`` keeps an unused first ``spark`` parameter, the
+signature of the RW/RS selectors.
 
 Substitution vs the paper (DESIGN.md §3): IMM's adaptive martingale
 stopping rule is replaced by a fixed, generous θ_im; at our scale the
@@ -30,7 +30,6 @@ n/θ · #RR sets hit by S.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.coverage import Coverage
 from repro.graphs.graph import OpinionGraph
@@ -92,7 +91,7 @@ def greedy_rr_sets(n: int, item: np.ndarray, node: np.ndarray, theta: int, k: in
 
 
 def select_seeds_im(
-    spark: SparkSession,
+    spark,
     graph: OpinionGraph,
     model: str,
     k: int,
@@ -106,7 +105,6 @@ def select_seeds_im(
 
 
 def expected_influence_spread(
-    spark: SparkSession,
     graph: OpinionGraph,
     model: str,
     seeds,

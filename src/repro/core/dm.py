@@ -5,35 +5,31 @@ recomputing exact opinions at the horizon (t FJ steps) with the candidate
 added to the current seed set, and picks the max marginal gain.  CELF [49]
 is layered on top for the (submodular) cumulative score.
 
-Distributed layering: the candidate-seed list is a DataFrame partitioned
-across executors; the graph (dst-sorted COO + b0/d + the non-target
-candidates' exact horizon opinions) is broadcast; each partition runs a
-*batched* FJ iteration — a dense ``(batch × n)`` opinion matrix advanced
-jointly, with each row's own seed column pinned to 1 — via
-``mapInPandas``.  This is the natural Spark port of the paper's
-single-core DM (see DESIGN.md §2).
+Evaluation runs on the driver, as the paper's single-core DM does: each
+block of ``EVAL_BLOCK`` candidate seeds is one *batched* FJ iteration — a
+dense ``(block × n)`` opinion matrix advanced jointly, with each row's own
+seed column pinned to 1 — followed by the voting score of every row
+against the non-target candidates' exact horizon opinions (see DESIGN.md
+§2).
 """
 from __future__ import annotations
 
 import heapq
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import types as T
 
-from repro.graphs.graph import OpinionGraph
+from repro.graphs.graph import OpinionGraph, spmv_dst
 from repro.opinion.fj import fj_diffuse_np
 from repro.voting.scores import rank_contrib_np, score_np
 
 # Below this node count the batched FJ iteration uses a dense W (BLAS);
-# above it, segment-reduceat over the dst-sorted sparse COO arrays.
+# above it, ``spmv_dst`` over the dst-sorted sparse COO arrays.
 DENSE_N_THRESHOLD = 1500
 
-_EVAL_SCHEMA = T.StructType(
-    [T.StructField("cand_seed", T.LongType()), T.StructField("fscore", T.DoubleType())]
-)
+# Candidates per ``batch_scores_np`` call: bounds the (block × n) opinion
+# matrix that one evaluation advances through the t FJ steps.
+EVAL_BLOCK = 512
 
 
 def batch_scores_np(
@@ -63,16 +59,10 @@ def batch_scores_np(
     M = np.tile(b0, (nb, 1))
     M[rows, cand_seeds] = 1.0
     # Two aggregation kernels for M·W: dense BLAS for small n (the lite
-    # scale), segment-reduceat over the dst-sorted COO otherwise.
-    dense = graph.n <= DENSE_N_THRESHOLD
-    W = graph.dense_w() if dense else None
-    indptr = None if dense else graph.dst_indptr()
+    # scale), one bincount per row over the dst-sorted COO otherwise.
+    W = graph.dense_w() if graph.n <= DENSE_N_THRESHOLD else None
     for _ in range(t):
-        if dense:
-            agg = M @ W
-        else:
-            contrib = M[:, graph.src] * graph.w
-            agg = np.add.reduceat(contrib, indptr[:-1], axis=1)
+        agg = M @ W if W is not None else spmv_dst(graph, M)
         M = (1.0 - d) * agg + d * b0
         M[rows, cand_seeds] = 1.0  # seed row: d=1, b0=1 ⇒ stays 1
     if score == "cumulative":
@@ -104,17 +94,18 @@ def others_at_horizon(graph: OpinionGraph, target: int, t: int) -> np.ndarray:
 
 
 class ExactEvaluator:
-    """Batched exact F(S ∪ {v}) evaluation, Spark-distributed.
+    """Batched exact F(S ∪ {v}) evaluation on the driver.
 
     ``__call__(seeds, cand_seeds)`` returns a NumPy array of scores
-    aligned with ``cand_seeds``.  Small work lists (< ``local_threshold``)
-    are evaluated driver-side to avoid job overhead; larger ones are
-    partitioned and evaluated with the broadcast graph.
+    aligned with ``cand_seeds``, computed by ``batch_scores_np`` over
+    blocks of ``EVAL_BLOCK`` candidates.  ``spark`` is not used; it stays
+    first in the signature for callers that pass a session to every
+    selector.
     """
 
     def __init__(
         self,
-        spark: SparkSession | None,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,
@@ -123,11 +114,8 @@ class ExactEvaluator:
         p: int = 1,
         omega: np.ndarray | None = None,
         user_mask: np.ndarray | None = None,
-        local_threshold: int = 256,
-        batch: int = 512,
     ):
         graph.check_candidate(target)
-        self.spark = spark
         self.graph = graph
         self.target = target
         self.t = t
@@ -135,25 +123,19 @@ class ExactEvaluator:
         self.p = p
         self.omega = omega
         self.user_mask = user_mask
-        self.local_threshold = local_threshold
-        self.batch = batch
         self.others = (
             None if score == "cumulative" else others_at_horizon(graph, target, t)
         )
-        self._bc = None
-        if spark is not None:
-            self._bc = spark.sparkContext.broadcast(
-                (graph, target, t, score, self.others, p, omega, user_mask)
-            )
 
     def __call__(self, seeds: Sequence[int], cand_seeds: Sequence[int]) -> np.ndarray:
-        cand_seeds = np.asarray(list(cand_seeds), dtype=np.int64)
-        if self.spark is None or len(cand_seeds) <= self.local_threshold:
-            return batch_scores_np(
+        cand_seeds = np.asarray(cand_seeds, dtype=np.int64)
+        out = np.empty(len(cand_seeds))
+        for lo in range(0, len(cand_seeds), EVAL_BLOCK):
+            out[lo : lo + EVAL_BLOCK] = batch_scores_np(
                 self.graph,
                 self.target,
                 seeds,
-                cand_seeds,
+                cand_seeds[lo : lo + EVAL_BLOCK],
                 self.t,
                 self.score,
                 others=self.others,
@@ -161,28 +143,7 @@ class ExactEvaluator:
                 omega=self.omega,
                 user_mask=self.user_mask,
             )
-        bc, batch, seeds = self._bc, self.batch, list(seeds)
-        work = self.spark.createDataFrame(pd.DataFrame({"cand_seed": cand_seeds}))
-        nparts = max(1, len(cand_seeds) // batch)
-        work = work.repartition(min(nparts, self.spark.sparkContext.defaultParallelism * 4))
-
-        def ev(pdfs: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-            graph, target, t, score, others, p, omega, mask = bc.value
-            for pdf in pdfs:
-                if len(pdf) == 0:
-                    continue
-                cs = pdf["cand_seed"].to_numpy()
-                for lo in range(0, len(cs), batch):
-                    chunk = cs[lo : lo + batch]
-                    vals = batch_scores_np(
-                        graph, target, seeds, chunk, t, score,
-                        others=others, p=p, omega=omega, user_mask=mask,
-                    )
-                    yield pd.DataFrame({"cand_seed": chunk, "fscore": vals})
-
-        res = work.mapInPandas(ev, _EVAL_SCHEMA).toPandas()
-        res = res.set_index("cand_seed").loc[cand_seeds, "fscore"]
-        return res.to_numpy()
+        return out
 
     def score_of(self, seeds: Sequence[int]) -> float:
         """Exact F(S) (no extra candidate)."""
@@ -201,7 +162,6 @@ def greedy_dm(
     k: int,
     *,
     celf: bool = True,
-    candidates: np.ndarray | None = None,
     init: list[int] | None = None,
 ) -> tuple[list[int], list[float]]:
     """Alg. 1 (greedy) with optional CELF lazy evaluation.
@@ -213,7 +173,6 @@ def greedy_dm(
     greedy run from an already-selected prefix (greedy is incremental).
     """
     n = evaluator.graph.n
-    pool = np.arange(n) if candidates is None else np.asarray(candidates)
     seeds: list[int] = [int(s) for s in init or []]
     if k > n:
         raise ValueError(f"k={k} exceeds the number of nodes n={n}")
@@ -226,7 +185,7 @@ def greedy_dm(
 
     if not celf:
         for _ in range(len(seeds), k):
-            cands = np.array([v for v in pool if v not in seeds])
+            cands = np.setdiff1d(np.arange(n), seeds)
             vals = evaluator(seeds, cands)
             best = int(cands[np.argmax(vals)])
             seeds.append(best)
@@ -237,8 +196,8 @@ def greedy_dm(
     if seeds:
         raise ValueError("init resume is only supported with celf=False")
     # CELF: heap of (-gain, node, round_computed)
-    vals = evaluator(seeds, pool)
-    heap = [(-(v - base), int(c), 0) for v, c in zip(vals, pool)]
+    vals = evaluator(seeds, np.arange(n))
+    heap = [(-(v - base), c, 0) for c, v in enumerate(vals)]
     heapq.heapify(heap)
     for rnd in range(1, k + 1):
         while True:

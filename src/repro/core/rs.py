@@ -17,7 +17,6 @@ per-*sketch* (not per-user) units.  No step launches a Spark job.
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import SparkSession
 
 from repro.core.coverage import WalkGreedy
 from repro.graphs.graph import OpinionGraph
@@ -33,7 +32,7 @@ class RSSelector(WalkGreedy):
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,

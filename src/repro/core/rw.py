@@ -22,8 +22,6 @@ matrix–vector products), matching the paper's complexity analysis
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
-
 from repro.core.coverage import WalkGreedy
 from repro.graphs.graph import OpinionGraph
 from repro.opinion.walks import generate_walks
@@ -38,7 +36,7 @@ class RWSelector(WalkGreedy):
 
     def __init__(
         self,
-        spark: SparkSession,
+        spark,
         graph: OpinionGraph,
         target: int,
         t: int,

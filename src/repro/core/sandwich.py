@@ -139,7 +139,6 @@ class SandwichResult:
 
 
 def sandwich_select(
-    spark,
     graph: OpinionGraph,
     target: int,
     t: int,
@@ -177,16 +176,14 @@ def sandwich_select(
     # S_L: greedy on the masked cumulative LB (plurality variants only).
     s_l = None
     if score != "copeland":
-        ev_lb = ExactEvaluator(
-            spark, graph, target, t, "cumulative", user_mask=fav
-        )
+        ev_lb = ExactEvaluator(None, graph, target, t, "cumulative", user_mask=fav)
         s_l, _ = greedy_dm(ev_lb, k, celf=True)
 
     # S_F: feasible greedy on F itself.
     if selector is not None:
         s_f = selector(k)
     else:
-        ev_f = ExactEvaluator(spark, graph, target, t, score, p=pp, omega=omega_arr)
+        ev_f = ExactEvaluator(None, graph, target, t, score, p=pp, omega=omega_arr)
         s_f, _ = greedy_dm(ev_f, k, celf=False)
 
     ev_exact = ExactEvaluator(None, graph, target, t, score, p=pp, omega=omega_arr)

@@ -105,7 +105,6 @@ def votes_for_target(graph: OpinionGraph, t: int, seeds) -> np.ndarray:
 
 
 def run_case_study(
-    spark,
     *,
     n: int = 640,
     k: int = 50,
@@ -115,7 +114,7 @@ def run_case_study(
 ) -> dict:
     """Table IV analogue: per-domain tallies without/with RW seeds."""
     g, users = build_case_study(n, seed=seed)
-    sel = RWSelector(spark, g, 0, t, "plurality", lam=lam, seed=seed + 2)
+    sel = RWSelector(None, g, 0, t, "plurality", lam=lam, seed=seed + 2)
     seeds = sel.select(k)
     without = votes_for_target(g, t, [])
     with_seeds = votes_for_target(g, t, seeds)

@@ -58,8 +58,8 @@ def table3() -> pd.DataFrame:
 # --------------------------------------------------------------------- #
 # Table IV
 # --------------------------------------------------------------------- #
-def table4(spark, **kw) -> tuple[pd.DataFrame, dict]:
-    res = run_case_study(spark, **kw)
+def table4(**kw) -> tuple[pd.DataFrame, dict]:
+    res = run_case_study(**kw)
     return pd.DataFrame(res["rows"]), res
 
 
@@ -79,7 +79,6 @@ def default_rs_theta(n: int) -> int:
 
 
 def select_with_method(
-    spark,
     graph: OpinionGraph,
     method: str,
     target: int,
@@ -94,28 +93,28 @@ def select_with_method(
 ) -> list[int]:
     """Dispatch one seed-selection method (paper §VIII-A list)."""
     if method == "DM":
-        ev = ExactEvaluator(spark, graph, target, t, score)
+        ev = ExactEvaluator(None, graph, target, t, score)
         seeds, _ = greedy_dm(ev, k, celf=(score == "cumulative"))
         return seeds
     if method == "RW":
-        sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
+        sel = RWSelector(None, graph, target, t, score, lam=lam, seed=seed)
         try:
             return sel.select(k)
         finally:
             sel.close()
     if method == "RS":
         th = theta or default_rs_theta(graph.n)
-        sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
+        sel = RSSelector(None, graph, target, t, score, theta=th, seed=seed)
         try:
             return sel.select(k)
         finally:
             sel.close()
     if method == "IC":
-        return select_seeds_im(spark, graph, "ic", k, theta=im_theta, seed=seed)
+        return select_seeds_im(None, graph, "ic", k, theta=im_theta, seed=seed)
     if method == "LT":
-        return select_seeds_im(spark, graph, "lt", k, theta=im_theta, seed=seed)
+        return select_seeds_im(None, graph, "lt", k, theta=im_theta, seed=seed)
     if method == "GED-T":
-        return ged_t_seeds(spark, graph, target, t, k)
+        return ged_t_seeds(graph, target, t, k)
     if method == "PR":
         return pagerank_seeds(graph, k)
     if method == "RWR":
@@ -126,7 +125,6 @@ def select_with_method(
 
 
 def scores_comparison(
-    spark,
     graph: OpinionGraph,
     target: int,
     t: int,
@@ -151,7 +149,7 @@ def scores_comparison(
         for method in methods:
             start = time.perf_counter()
             seeds = select_with_method(
-                spark, graph, method, target, t, kmax, score,
+                graph, method, target, t, kmax, score,
                 lam=lam, theta=theta, im_theta=im_theta, seed=seed,
             )
             elapsed = time.perf_counter() - start
@@ -173,7 +171,6 @@ def scores_comparison(
 # Table VI
 # --------------------------------------------------------------------- #
 def table6(
-    spark,
     graph: OpinionGraph,
     target: int,
     t: int,
@@ -193,10 +190,10 @@ def table6(
     """
     from repro.core.win import target_wins
 
-    rw_sel = RWSelector(spark, graph, target, t, score, lam=lam, seed=seed)
+    rw_sel = RWSelector(None, graph, target, t, score, lam=lam, seed=seed)
     th = theta or default_rs_theta(graph.n)
-    rs_sel = RSSelector(spark, graph, target, t, score, theta=th, seed=seed)
-    ev = ExactEvaluator(spark, graph, target, t, score)
+    rs_sel = RSSelector(None, graph, target, t, score, theta=th, seed=seed)
+    ev = ExactEvaluator(None, graph, target, t, score)
     dm_state: list[int] = []
 
     def dm_extend(k: int) -> list[int]:

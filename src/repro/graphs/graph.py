@@ -7,9 +7,9 @@ node sum to 1), an initial-opinion matrix ``b0 ∈ [0,1]^{r×n}`` and a
 stubbornness matrix ``d ∈ [0,1]^{r×n}`` — one row per candidate.
 
 Storage is NumPy (edges as COO sorted by ``dst``) so that instances are
-deterministic, cheap to broadcast to the Spark executors of the exact
-evaluator, and read directly by every NumPy kernel (FJ steps, samplers,
-reachable sets, centrality).
+deterministic and read directly by every kernel (FJ steps, the exact DM
+evaluator, samplers, reachable sets, centrality), all of which run in
+the driver process.
 
 Normalization convention: the paper states that users without in-neighbors
 retain their initial opinions (DeGroot); we realize this with an implicit

@@ -88,29 +88,29 @@ class TestRRSets:
 
 class TestIMSeedSelection:
     @pytest.mark.parametrize("model", ["ic", "lt"])
-    def test_selects_k_distinct(self, spark, model):
+    def test_selects_k_distinct(self, model):
         g = random_instance(40, seed=5)
-        seeds = select_seeds_im(spark, g, model, 3, theta=500, seed=1)
+        seeds = select_seeds_im(None, g, model, 3, theta=500, seed=1)
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
-    def test_first_seed_max_coverage(self, spark):
+    def test_first_seed_max_coverage(self):
         g = random_instance(40, seed=6)
         theta = 400
         item, node = generate_rr_sets(g, "ic", theta, seed=2)
         counts = np.bincount(node, minlength=g.n)
         best_cov = counts.max()
-        seeds = select_seeds_im(spark, g, "ic", 1, theta=theta, seed=2)
+        seeds = select_seeds_im(None, g, "ic", 1, theta=theta, seed=2)
         assert counts[seeds[0]] == best_cov
 
-    def test_eis_bounds(self, spark):
+    def test_eis_bounds(self):
         g = random_instance(40, seed=7)
-        eis = expected_influence_spread(spark, g, "ic", [0, 1, 2], theta=500)
+        eis = expected_influence_spread(g, "ic", [0, 1, 2], theta=500)
         assert 0 <= eis <= g.n
 
-    def test_eis_monotone_in_seeds(self, spark):
+    def test_eis_monotone_in_seeds(self):
         g = random_instance(40, seed=8)
-        e1 = expected_influence_spread(spark, g, "lt", [0], theta=800, seed=3)
-        e2 = expected_influence_spread(spark, g, "lt", [0, 5, 9], theta=800, seed=3)
+        e1 = expected_influence_spread(g, "lt", [0], theta=800, seed=3)
+        e2 = expected_influence_spread(g, "lt", [0, 5, 9], theta=800, seed=3)
         assert e2 >= e1
 
 
@@ -233,4 +233,4 @@ class TestGEDT:
         g = random_instance(30, seed=15)
         ev = ExactEvaluator(None, g, 0, 3, "cumulative")
         dm, _ = greedy_dm(ev, 3, celf=True)
-        assert ged_t_seeds(None, g, 0, 3, 3) == dm
+        assert ged_t_seeds(g, 0, 3, 3) == dm

@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 
 from repro.core.dm import (
+    DENSE_N_THRESHOLD,
+    EVAL_BLOCK,
     ExactEvaluator,
     batch_scores_np,
     greedy_dm,
     others_at_horizon,
 )
+from repro.experiments.datasets import load
 from repro.graphs.generators import random_instance, running_example
 from repro.opinion.fj import fj_diffuse_np, opinions_at_horizon_np
 from repro.voting.scores import score_np
@@ -71,13 +74,23 @@ class TestEvaluator:
         for v, c in zip(vals, [0, 2, 3]):
             assert np.isclose(v, _exact_score(g, 0, 3, [1, int(c)], "cumulative"))
 
-    def test_spark_path_matches_local(self, spark):
-        g = random_instance(60, seed=6)
-        ev = ExactEvaluator(spark, g, 0, 3, "cumulative", local_threshold=8, batch=16)
-        cands = np.arange(60)
-        dist = ev([], cands)
-        loc = batch_scores_np(g, 0, [], cands, 3, "cumulative")
-        assert np.allclose(dist, loc)
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("score", ["cumulative", "plurality"])
+    def test_blocks_match_one_batch(self, monkeypatch, score, sparse):
+        """Candidates split over several EVAL_BLOCK blocks, in shuffled order."""
+        import repro.core.dm as dm_mod
+
+        if sparse:
+            monkeypatch.setattr(dm_mod, "DENSE_N_THRESHOLD", 0)
+        g = random_instance(2 * EVAL_BLOCK, r=3, seed=6)
+        ev = ExactEvaluator(None, g, 0, 3, score)
+        cands = np.random.default_rng(0).permutation(g.n)[: 2 * EVAL_BLOCK - 100]
+        whole = batch_scores_np(g, 0, [4], cands, 3, score, others=ev.others)
+        np.testing.assert_allclose(ev([4], cands), whole, rtol=1e-12)
+
+    def test_empty_candidate_list(self):
+        ev = ExactEvaluator(None, random_instance(20, seed=6), 0, 3, "cumulative")
+        assert ev([], []).shape == (0,)
 
     def test_score_of_matches_reference(self):
         g = random_instance(30, r=3, seed=7)
@@ -144,13 +157,6 @@ class TestGreedy:
         assert len(seeds) == 2 and len(set(seeds)) == 2
         assert trace == sorted(trace)  # scores non-decreasing in seeds
 
-    def test_candidate_pool_restriction(self):
-        g = random_instance(30, seed=14)
-        ev = ExactEvaluator(None, g, 0, 3, "cumulative")
-        pool = np.array([1, 2, 3])
-        seeds, _ = greedy_dm(ev, 2, celf=False, candidates=pool)
-        assert set(seeds) <= {1, 2, 3}
-
     def test_running_example_greedy_picks_node0_for_cumulative(self):
         # Table I: {1} (node 0) maximizes the cumulative score at t=1.
         g = running_example()
@@ -166,8 +172,32 @@ class TestGreedy:
         assert seeds == [2]
 
 
+# greedy_dm seeds (target 0, k = 3) recorded from the Spark-distributed
+# evaluator and the reduceat sparse kernel before both were replaced by
+# the driver-side blocks and ``spmv_dst``; the driver path of that code
+# gave the same lists.  yelp-lite (n = 966) takes the dense-BLAS branch,
+# twitter-sd-lite cut to 1 600 nodes the sparse one.  Plurality runs
+# plain greedy, cumulative CELF.
+GOLDEN_DM = {
+    ("yelp-lite", None, 10, "plurality"): [124, 6, 17],
+    ("yelp-lite", None, 10, "cumulative"): [0, 3, 2],
+    ("twitter-sd-lite", 1600, 5, "plurality"): [1, 6, 0],
+    ("twitter-sd-lite", 1600, 5, "cumulative"): [1, 0, 6],
+}
+
+
+class TestGoldenSeeds:
+    @pytest.mark.parametrize("name,nodes,t,score", list(GOLDEN_DM))
+    def test_greedy_dm(self, name, nodes, t, score):
+        g = load(name, nodes=nodes)
+        assert (g.n <= DENSE_N_THRESHOLD) == (name == "yelp-lite")
+        ev = ExactEvaluator(None, g, 0, t, score)
+        seeds, _ = greedy_dm(ev, 3, celf=score == "cumulative")
+        assert seeds == GOLDEN_DM[name, nodes, t, score]
+
+
 class TestKernelPaths:
-    """The dense-BLAS and sparse-reduceat aggregation kernels agree."""
+    """The dense-BLAS and sparse (spmv_dst) aggregation kernels agree."""
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
     def test_sparse_path_matches_dense(self, monkeypatch, score):

@@ -43,36 +43,36 @@ class TestRW:
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
-    def test_estimated_score_tracks_truncation(self, spark, small_graph):
+    def test_estimated_score_tracks_truncation(self, small_graph):
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=20, seed=2)
+        sel = RWSelector(None, g, 0, 3, "cumulative", lam=20, seed=2)
         before = sel.estimated_score()
         seeds = sel.select(2)
         after = sel.estimated_score()
         assert after >= before  # estimates only rise with seeds
         assert len(set(seeds)) == 2
 
-    def test_selects_distinct_seeds(self, spark, small_graph):
-        sel = RWSelector(spark, small_graph, 0, 3, "plurality", lam=15, seed=3)
+    def test_selects_distinct_seeds(self, small_graph):
+        sel = RWSelector(None, small_graph, 0, 3, "plurality", lam=15, seed=3)
         seeds = sel.select(3)
         assert len(set(seeds)) == 3
 
-    def test_running_example_first_pick(self, spark):
+    def test_running_example_first_pick(self):
         """With dense walks, RW recovers DM's first pick on the example."""
         g = running_example()
-        sel = RWSelector(spark, g, 0, 1, "cumulative", lam=400, seed=4)
+        sel = RWSelector(None, g, 0, 1, "cumulative", lam=400, seed=4)
         assert sel.select(1) == [0]  # Table I: node 0 maximizes cumulative
 
-    def test_running_example_plurality_pick(self, spark):
+    def test_running_example_plurality_pick(self):
         g = running_example()
-        sel = RWSelector(spark, g, 0, 1, "plurality", lam=400, seed=5)
+        sel = RWSelector(None, g, 0, 1, "plurality", lam=400, seed=5)
         assert sel.select(1) == [2]  # Table I: node 2 maximizes plurality
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_quality_close_to_dm(self, spark, small_graph, score):
+    def test_quality_close_to_dm(self, small_graph, score):
         g = small_graph
         t, k = 3, 3
-        sel = RWSelector(spark, g, 0, t, score, lam=60, seed=6)
+        sel = RWSelector(None, g, 0, t, score, lam=60, seed=6)
         rw_seeds = sel.select(k)
         ev = ExactEvaluator(None, g, 0, t, score)
         dm_seeds, dm_trace = greedy_dm(ev, k, celf=(score == "cumulative"))
@@ -80,18 +80,18 @@ class TestRW:
         f_dm = dm_trace[-1]
         assert f_rw >= 0.8 * f_dm, (rw_seeds, dm_seeds, f_rw, f_dm)
 
-    def test_estimated_score_close_to_exact(self, spark, small_graph):
+    def test_estimated_score_close_to_exact(self, small_graph):
         g = small_graph
-        sel = RWSelector(spark, g, 0, 3, "cumulative", lam=120, seed=7)
+        sel = RWSelector(None, g, 0, 3, "cumulative", lam=120, seed=7)
         est = sel.estimated_score()
         exact = _exact(g, 0, 3, [], "cumulative")
         assert abs(est - exact) / exact < 0.1
 
 
 class TestRS:
-    def test_cumulative_estimate_scales(self, spark, small_graph):
+    def test_cumulative_estimate_scales(self, small_graph):
         g = small_graph
-        rs = RSSelector(spark, g, 0, 3, "cumulative", theta=3000, seed=8)
+        rs = RSSelector(None, g, 0, 3, "cumulative", theta=3000, seed=8)
         est = rs.estimated_score()
         exact = _exact(g, 0, 3, [], "cumulative")
         assert abs(est - exact) / exact < 0.15
@@ -110,25 +110,25 @@ class TestRS:
             )
             assert np.isclose(gains[v], exp), f"node {v}"
 
-    def test_selects_distinct_seeds(self, spark, small_graph):
-        rs = RSSelector(spark, small_graph, 0, 3, "plurality", theta=500, seed=10)
+    def test_selects_distinct_seeds(self, small_graph):
+        rs = RSSelector(None, small_graph, 0, 3, "plurality", theta=500, seed=10)
         seeds = rs.select(3)
         assert len(set(seeds)) == 3
 
     @pytest.mark.parametrize("score", ["cumulative", "plurality", "copeland"])
-    def test_quality_close_to_dm(self, spark, small_graph, score):
+    def test_quality_close_to_dm(self, small_graph, score):
         g = small_graph
         t, k = 3, 3
-        rs = RSSelector(spark, g, 0, t, score, theta=2500, seed=11)
+        rs = RSSelector(None, g, 0, t, score, theta=2500, seed=11)
         rs_seeds = rs.select(k)
         ev = ExactEvaluator(None, g, 0, t, score)
         _, dm_trace = greedy_dm(ev, k, celf=(score == "cumulative"))
         f_rs = _exact(g, 0, t, rs_seeds, score)
         assert f_rs >= 0.75 * dm_trace[-1], (rs_seeds, f_rs, dm_trace[-1])
 
-    def test_running_example_first_pick(self, spark):
+    def test_running_example_first_pick(self):
         g = running_example()
-        rs = RSSelector(spark, g, 0, 1, "cumulative", theta=2000, seed=12)
+        rs = RSSelector(None, g, 0, 1, "cumulative", theta=2000, seed=12)
         assert rs.select(1) == [0]
 
 
@@ -136,42 +136,45 @@ class TestEntryPoints:
     """Edge inputs at the selector entry points."""
 
     @pytest.mark.parametrize("target", [-1, 3])
-    def test_target_out_of_range_raises(self, spark, small_graph, target):
+    def test_target_out_of_range_raises(self, small_graph, target):
         with pytest.raises(ValueError):
-            RWSelector(spark, small_graph, target, 3, "cumulative", lam=2)
+            RWSelector(None, small_graph, target, 3, "cumulative", lam=2)
         with pytest.raises(ValueError):
-            RSSelector(spark, small_graph, target, 3, "cumulative", theta=10)
+            RSSelector(None, small_graph, target, 3, "cumulative", theta=10)
 
-    def test_k_above_n_raises(self, spark):
+    def test_k_above_n_raises(self):
         g = random_instance(8, r=2, seed=1)
-        sel = RWSelector(spark, g, 0, 2, "plurality", lam=2, seed=1)
+        sel = RWSelector(None, g, 0, 2, "plurality", lam=2, seed=1)
         with pytest.raises(ValueError):
             sel.select(9)
 
-    def test_k_equals_n_returns_every_node(self, spark):
+    def test_k_equals_n_returns_every_node(self):
         g = random_instance(8, r=2, seed=2)
-        rs = RSSelector(spark, g, 0, 2, "cumulative", theta=5, seed=2)
+        rs = RSSelector(None, g, 0, 2, "cumulative", theta=5, seed=2)
         assert sorted(rs.select(8)) == list(range(8))
 
-    def test_horizon_zero(self, spark, small_graph):
+    def test_horizon_zero(self, small_graph):
         """t = 0: every walk is its start node, with estimate b0."""
         g = small_graph
-        sel = RWSelector(spark, g, 0, 0, "cumulative", lam=3, seed=3)
+        sel = RWSelector(None, g, 0, 0, "cumulative", lam=3, seed=3)
         assert np.isclose(sel.estimated_score(), g.b0[0].sum())
         assert len(set(sel.select(3))) == 3
 
 
 class TestNoSparkJobs:
     def test_sampling_and_selection_launch_no_spark_job(self, spark, small_graph):
-        """RW, RS, IMM and centrality selection plus EIS run entirely on the
-        driver."""
+        """RW, RS, IMM, DM and centrality selection plus EIS run entirely on
+        the driver, even when a session is passed."""
         sc, g = spark.sparkContext, small_graph
         sc.setJobGroup("no-spark-jobs", "driver-side sampling")
         try:
             RWSelector(spark, g, 0, 3, "plurality", lam=5, seed=1).select(2)
             RSSelector(spark, g, 0, 3, "copeland", theta=200, seed=2).select(2)
             seeds = select_seeds_im(spark, g, "ic", 2, theta=300, seed=3)
-            expected_influence_spread(spark, g, "lt", seeds, theta=300)
+            expected_influence_spread(g, "lt", seeds, theta=300)
+            # 600 candidates: more than one evaluation block.
+            ev = ExactEvaluator(spark, random_instance(600, seed=4), 0, 2, "cumulative")
+            greedy_dm(ev, 2, celf=False)
             pagerank_seeds(g, 2)
             rwr_seeds(g, 2, 0)
             degree_seeds(g, 2)

@@ -36,20 +36,20 @@ class TestTable3:
 
 
 class TestDispatch:
-    def test_unknown_method_raises(self, spark):
+    def test_unknown_method_raises(self):
         g = random_instance(20, seed=0)
         with pytest.raises(ValueError):
-            select_with_method(spark, g, "XX", 0, 2, 2, "cumulative")
+            select_with_method(g, "XX", 0, 2, 2, "cumulative")
 
     @pytest.mark.parametrize("method", ["DC", "PR", "RWR"])
-    def test_centrality_methods_return_k(self, spark, method):
+    def test_centrality_methods_return_k(self, method):
         g = random_instance(30, seed=1)
-        seeds = select_with_method(spark, g, method, 0, 2, 3, "cumulative")
+        seeds = select_with_method(g, method, 0, 2, 3, "cumulative")
         assert len(seeds) == 3 and len(set(seeds)) == 3
 
-    def test_dm_method(self, spark):
+    def test_dm_method(self):
         g = random_instance(25, seed=2)
-        seeds = select_with_method(spark, g, "DM", 0, 2, 2, "cumulative")
+        seeds = select_with_method(g, "DM", 0, 2, 2, "cumulative")
         assert len(seeds) == 2
 
     def test_default_rs_theta(self):
@@ -59,10 +59,10 @@ class TestDispatch:
 
 @pytest.mark.slow
 class TestComparisonHarness:
-    def test_scores_comparison_small(self, spark):
+    def test_scores_comparison_small(self):
         g = random_instance(40, r=2, seed=3, avg_deg=2.5)
         df = scores_comparison(
-            spark, g, 0, 2, [1, 2], ["cumulative"],
+            g, 0, 2, [1, 2], ["cumulative"],
             methods=("DM", "RW", "DC"), lam=10, theta=200, im_theta=200,
         )
         assert set(df["method"]) == {"DM", "RW", "DC"}
@@ -74,18 +74,18 @@ class TestComparisonHarness:
                 sub["F"].diff().dropna(), 0
             ) or (sub["F"].diff().dropna() >= -1e-9).all()
 
-    def test_dm_dominates_on_cumulative(self, spark):
+    def test_dm_dominates_on_cumulative(self):
         g = random_instance(40, r=2, seed=4, avg_deg=2.5)
         df = scores_comparison(
-            spark, g, 0, 2, [3], ["cumulative"],
+            g, 0, 2, [3], ["cumulative"],
             methods=("DM", "DC"), lam=10, theta=200, im_theta=200,
         )
         f = df.set_index("method")["F"]
         assert f["DM"] >= f["DC"] - 1e-9
 
-    def test_table6_shape(self, spark):
+    def test_table6_shape(self):
         g = random_instance(40, r=2, seed=5, avg_deg=3.0)
-        df = table6(spark, g, 0, 2, "plurality", k_max=20, lam=10, theta=300)
+        df = table6(g, 0, 2, "plurality", k_max=20, lam=10, theta=300)
         assert set(df["method"]) == {"DM", "RW", "RS"}
         won = df[df["win_within_budget"]]
         assert (won["k_star"] >= 0).all()
